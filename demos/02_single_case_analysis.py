@@ -7,23 +7,15 @@ conditioned on causal parents, and the latter with descendant adjustment.
 """
 
 from rcakit import GroundTruth, run_scorer
-from rcakit.model import Case
-from rcakit.simulation import (
-    generate_dag,
-    inject_fault,
-    metric_name,
-    simulate_series,
-)
+from rcakit.simulation import generate_case, generate_dag, metric_name
 
 rng_seed = 42
 dag = generate_dag(n_node=30, n_edge=60, rng_seed=rng_seed)
 graph = dag.to_causal_graph()
 
-# Two hours of per-minute history plus five minutes after detection.
-series = simulate_series(dag, length=126, rng_seed=rng_seed + 1, start_time=0)
-faulty, fault = inject_fault(dag, series, at=120, rng_seed=rng_seed + 2)
-
-case = Case(series=faulty, detect_time=120, sli=metric_name(0, dag.n))
+# Two hours of per-minute history plus five minutes after detection; the
+# fault starts at detection time, minute 120.
+case, fault = generate_case(dag, rng_seed=rng_seed + 1)
 truth = GroundTruth(frozenset(metric_name(i, dag.n) for i in fault.root_causes))
 print(f"injected a {fault.fault_type.value} fault at minute {fault.start}")
 print(f"true root causes: {sorted(truth.root_causes)}")

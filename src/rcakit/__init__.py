@@ -16,6 +16,7 @@ from .errors import (
     InsufficientData,
     MissingSeries,
     NoEffectiveFault,
+    OutputNotEmpty,
     RcakitError,
     ResultNotDag,
     UnknownMetaMetric,
@@ -64,10 +65,8 @@ from .simulation import (
     classify_fault,
     generate_dag,
     generate_dataset,
-    inject_fault,
     load_dataset,
     save_dataset,
-    simulate_series,
 )
 from .evaluation import EvalReport, ac_at_k, evaluate, format_table
 

@@ -151,6 +151,7 @@ def _override_windows(case: Case, overrides: dict) -> Case:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     t_ref, t_delay, t_test = _windows(args, config)
+    simulation.require_empty_dir(args.out)  # before the work, not after it
     dataset = simulation.generate_dataset(
         n_node=args.nodes,
         n_edge=args.edges,

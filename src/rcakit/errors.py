@@ -43,3 +43,7 @@ class NoEffectiveFault(RcakitError):
 
 class EmptyCaseSet(RcakitError):
     """An evaluation was requested over zero cases."""
+
+
+class OutputNotEmpty(RcakitError):
+    """A dataset was to be written into a directory that already holds files."""

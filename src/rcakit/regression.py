@@ -9,7 +9,7 @@ fitted relation; scoring standardizes test-window deviations by them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -131,17 +131,3 @@ def predict_rows(model: FittedModel, feature_rows: np.ndarray) -> np.ndarray:
             f"model expects (*, {len(model.features)}) rows, got {rows.shape}"
         )
     return rows @ model.coefficients + model.intercept
-
-
-#: Regression backends by name.  Only plain least squares ships; the
-#: registry exists so alternative regressors can plug in without touching
-#: the scoring code.
-Regressor = Callable[..., FittedModel]
-BACKENDS: dict[str, Regressor] = {"linear": fit_ols}
-
-
-def get_backend(name: str) -> Regressor:
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        raise KeyError(f"unknown regression backend {name!r}; registered: {sorted(BACKENDS)}")

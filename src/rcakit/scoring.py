@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MissingSeries
 from .model import Case, CausalGraph, GroundTruth, MetricId, Ranking, case_matrix, window_index_ranges
-from .regression import get_backend, predict_rows, sigma_floor
+from .regression import fit_ols, predict_rows, sigma_floor
 
 #: Scores at or above this many sigmas count as abnormal (the three-sigma
 #: rule of thumb).  Configurable wherever it is consumed.
@@ -73,7 +73,6 @@ def rht_score(
     case: Case,
     graph: CausalGraph,
     use_lagged_self: bool = False,
-    backend: str = "linear",
 ) -> dict[MetricId, float]:
     """Score each graph node by its largest standardized test residual.
 
@@ -91,7 +90,6 @@ def rht_score(
     ref = full[ref_idx.start:ref_idx.stop]
     test = full[test_idx.start:test_idx.stop]
     test_rows = np.arange(test_idx.start, test_idx.stop)
-    fit = get_backend(backend)
 
     scores: dict[MetricId, float] = {}
     for node in sorted(graph.nodes):
@@ -106,7 +104,7 @@ def rht_score(
             X = np.column_stack([X[1:], ref[:-1, col[node]]])
             y = y[1:]
             names = parents + (node,)
-        model = fit(y, X, target=node, features=names)
+        model = fit_ols(y, X, target=node, features=names)
         X_test = test[:, pcols]
         if use_lagged_self:
             X_test = np.column_stack([X_test, full[test_rows - 1, col[node]]])
@@ -218,7 +216,6 @@ def run_scorer(
     threshold: float = ABNORMAL_THRESHOLD,
     lagged: Optional[bool] = None,
     adjust: Optional[bool] = None,
-    backend: str = "linear",
 ) -> tuple[ScoreTable, Ranking]:
     """Run a registered scorer on one case and return scores plus ranking.
 
@@ -247,7 +244,7 @@ def run_scorer(
 
     use_lagged = {"rht": False, "rht-pg": True, "circa": False}[name] if lagged is None else lagged
     do_adjust = (name == "circa") if adjust is None else adjust
-    raw = rht_score(case, graph, use_lagged_self=use_lagged, backend=backend)
+    raw = rht_score(case, graph, use_lagged_self=use_lagged)
     adjusted = descendant_adjust(raw, graph, threshold=threshold) if do_adjust else None
     table = ScoreTable(raw=raw, adjusted=adjusted)
     return table, rank(table.best())

@@ -16,12 +16,13 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import EdgeBudgetInfeasible, NoEffectiveFault
+from .errors import EdgeBudgetInfeasible, NoEffectiveFault, OutputNotEmpty
 from .model import (
     DEFAULT_T_DELAY,
     DEFAULT_T_REF,
@@ -64,7 +65,8 @@ class WeightedDag:
 
     ``A[i, j] != 0`` means node j causes node i with that weight.  The
     nonzero pattern must be acyclic, node 0 must have no children, and
-    weight magnitudes must lie in (0.5, 2.0).
+    weight magnitudes must lie in (0.5, 2.0).  The propagation matrix
+    ``W`` is solved on first use and shared by every case of the graph.
     """
 
     A: np.ndarray
@@ -98,6 +100,13 @@ class WeightedDag:
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """Read-only ``propagation_matrix(self)``, solved once per graph."""
+        W = propagation_matrix(self)
+        W.flags.writeable = False
+        return W
 
     def node_names(self) -> list[MetricId]:
         return [metric_name(i, self.n) for i in range(self.n)]
@@ -179,7 +188,7 @@ def simulate_matrix(dag: WeightedDag, length: int, rng_seed) -> np.ndarray:
     if length < 2:
         raise ValueError("length must be at least 2 samples")
     rng = _as_rng(rng_seed)
-    W = propagation_matrix(dag)
+    W = dag.W
     noise = rng.standard_normal((length, dag.n)) * dag.sigma
     X = np.empty((length, dag.n))
     X[0] = W @ noise[0]
@@ -195,13 +204,6 @@ def _matrix_to_series(X: np.ndarray, n_node: int, start_time: int) -> dict[Metri
         )
         for i in range(n_node)
     }
-
-
-def simulate_series(dag: WeightedDag, length: int, rng_seed,
-                    start_time: int = 0) -> dict[MetricId, TimeSeries]:
-    """Simulate and wrap each node as a TimeSeries at 1-minute spacing."""
-    X = simulate_matrix(dag, length, rng_seed)
-    return _matrix_to_series(X, dag.n, start_time)
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ class InjectedFault:
 
 
 def classify_fault(dag: WeightedDag, sigma_hat: Sequence[float],
-                   fault: InjectedFault | Sequence[int]) -> FaultType:
+                   roots: Sequence[int]) -> FaultType:
     """Classify a fault by each root's signed propagation ratio onto the SLI.
 
     The ratio for root i is ``W[0, i] * sigma_hat[i] / sigma_hat[0]``: all
@@ -233,9 +235,7 @@ def classify_fault(dag: WeightedDag, sigma_hat: Sequence[float],
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if (sigma_hat <= 0).any():
         raise ValueError("sigma_hat must be positive elementwise")
-    roots = sorted(fault.root_causes if isinstance(fault, InjectedFault) else fault)
-    W = propagation_matrix(dag)
-    ratios = np.array([W[0, i] * sigma_hat[i] / sigma_hat[0] for i in roots])
+    ratios = np.array([dag.W[0, i] * sigma_hat[i] / sigma_hat[0] for i in sorted(roots)])
     if (ratios < 1.0).all():
         return FaultType.WEAK
     if (ratios > 1.0).all():
@@ -264,7 +264,7 @@ def apply_noise_shift(dag: WeightedDag, X: np.ndarray, at_index: int,
     shift = np.zeros(dag.n)
     for i, a in alpha.items():
         shift[int(i)] = a * dag.sigma[int(i)]
-    W = propagation_matrix(dag)
+    W = dag.W
     out = X.copy()
     delta = W @ shift
     out[at_index] += delta
@@ -287,7 +287,7 @@ def _draw_alpha_magnitudes(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.exponential(ALPHA_SCALE, size=size)
 
 
-def _sample_fault(dag: WeightedDag, W: np.ndarray, sigma_hat: np.ndarray,
+def _sample_fault(dag: WeightedDag, sigma_hat: np.ndarray,
                   rng: np.random.Generator, poisson_rate: float,
                   max_retries: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Draw a root set and alphas whose expected SLI shift clears 3 sigma."""
@@ -300,7 +300,7 @@ def _sample_fault(dag: WeightedDag, W: np.ndarray, sigma_hat: np.ndarray,
         magnitudes = _draw_alpha_magnitudes(rng, size)
         signs = rng.integers(0, 2, size=size) * 2 - 1
         alpha = magnitudes * signs
-        effect = float(W[0, roots] @ (alpha * dag.sigma[roots]))
+        effect = float(dag.W[0, roots] @ (alpha * dag.sigma[roots]))
         if abs(effect) <= 1e-12 * max(need, 1.0):
             continue  # no usable propagation onto the SLI; redraw
         alpha *= max(1.0, need / abs(effect))
@@ -308,46 +308,6 @@ def _sample_fault(dag: WeightedDag, W: np.ndarray, sigma_hat: np.ndarray,
     raise NoEffectiveFault(
         f"no sampled root set moved the SLI after {max_retries} attempts"
     )
-
-
-def inject_fault(
-    dag: WeightedDag,
-    series: Mapping[MetricId, TimeSeries],
-    at: int,
-    rng_seed,
-    t_ref: int = DEFAULT_T_REF,
-    t_test: int = DEFAULT_T_TEST,
-    poisson_rate: float = DEFAULT_POISSON_RATE,
-) -> tuple[dict[MetricId, TimeSeries], InjectedFault]:
-    """Inject a random fault at timestamp ``at`` (and the next sample).
-
-    The root set excludes the SLI; alphas draw an exponential magnitude
-    with random sign and the whole vector is scaled up just enough that
-    the expected SLI deviation reaches three reference standard
-    deviations.
-    """
-    rng = _as_rng(rng_seed)
-    names = [metric_name(i, dag.n) for i in range(dag.n)]
-    if set(names) != set(series):
-        raise ValueError("series keys do not match the dag's node names")
-    first = series[names[0]]
-    X = np.column_stack([series[m].values for m in names])
-    at_index = (at - first.start_time) // first.interval
-    if (at - first.start_time) % first.interval:
-        raise ValueError(f"fault time {at} is not aligned to the sampling grid")
-
-    sigma_hat = _reference_std(X, at_index, t_ref, t_test)
-    W = propagation_matrix(dag)
-    roots, alpha = _sample_fault(dag, W, sigma_hat, rng, poisson_rate)
-    alpha_map = {int(i): float(a) for i, a in zip(roots, alpha)}
-    faulty = apply_noise_shift(dag, X, at_index, alpha_map)
-    fault = InjectedFault(
-        root_causes=frozenset(alpha_map),
-        alpha=alpha_map,
-        start=at,
-        fault_type=classify_fault(dag, sigma_hat, sorted(alpha_map)),
-    )
-    return _matrix_to_series(faulty, dag.n, first.start_time), fault
 
 
 @dataclass(frozen=True)
@@ -404,14 +364,19 @@ def generate_case(dag: WeightedDag, rng_seed,
                   t_delay: int = DEFAULT_T_DELAY,
                   t_test: int = DEFAULT_T_TEST,
                   poisson_rate: float = DEFAULT_POISSON_RATE) -> tuple[Case, InjectedFault]:
-    """Simulate one faulty case: fresh series with a fault at detect time."""
+    """Simulate one faulty case: fresh series with a fault at detect time.
+
+    The root set excludes the SLI; alphas draw an exponential magnitude
+    with random sign and the whole vector is scaled up just enough that
+    the expected SLI deviation reaches three reference standard
+    deviations.  Rows before the fault are the unfaulted simulation.
+    """
     rng = _as_rng(rng_seed)
     length = t_ref + t_delay + 1
     X = simulate_matrix(dag, length, rng)
     at_index = t_ref  # detection coincides with fault start
     sigma_hat = _reference_std(X, at_index, t_ref, t_test)
-    W = propagation_matrix(dag)
-    roots, alpha = _sample_fault(dag, W, sigma_hat, rng, poisson_rate)
+    roots, alpha = _sample_fault(dag, sigma_hat, rng, poisson_rate)
     alpha_map = {int(i): float(a) for i, a in zip(roots, alpha)}
     faulty = apply_noise_shift(dag, X, at_index, alpha_map)
     case = _case_from_matrix(faulty, dag.n, detect_time=t_ref,
@@ -468,6 +433,7 @@ def generate_dataset(
         for g, graph_seq in enumerate(root_seq.spawn(n_graphs)):
             streams = graph_seq.spawn(cases_per_graph + 1)
             dag = generate_dag(n_node, n_edge, np.random.default_rng(streams[0]))
+            dag.W  # solve here, so pool workers receive W with the dag
             tasks = [
                 (dag, streams[c + 1], f"c{c:0{case_width}d}",
                  t_ref, t_delay, t_test, poisson_rate)
@@ -495,9 +461,20 @@ def generate_dataset(
     return SimulatedDataset(graphs=tuple(graphs), params=params)
 
 
-def save_dataset(dataset: SimulatedDataset, out_dir) -> None:
-    """Write the on-disk layout: manifest.json, per-graph graph.json, cases."""
+def require_empty_dir(out_dir) -> None:
+    """Refuse an existing non-empty directory, so no stale case survives."""
     out_dir = Path(out_dir)
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        raise OutputNotEmpty(f"{out_dir} is not empty; write the dataset to a new directory")
+
+
+def save_dataset(dataset: SimulatedDataset, out_dir) -> None:
+    """Write the on-disk layout: manifest.json, per-graph graph.json, cases.
+
+    ``out_dir`` must be absent or empty.
+    """
+    out_dir = Path(out_dir)
+    require_empty_dir(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(dataset.params, fh, indent=2, sort_keys=True)

@@ -48,3 +48,41 @@ def random_dagscores(rng, n_nodes=8, edge_prob=0.35, score_scale=6.0):
     graph = CausalGraph(nodes=names, edges=edges)
     scores = {m: float(rng.random() * score_scale) for m in names}
     return graph, scores
+
+
+UNIT_ROUNDOFF = 2.0 ** -53  # float64
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the error of a k-term float64 sum."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def inverse_residual(M, W, g):
+    """Check |M W - I| <= 2 g |M||W| entry by entry.
+
+    Returns (holds, worst |R| / (g S), worst absolute |R|).  Where S is 0
+    the residual must be exactly 0; a nonzero one there counts as an
+    infinite ratio.
+    """
+    R = np.abs(M @ W - np.eye(len(M)))
+    S = np.abs(M) @ np.abs(W)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(S > 0, R / (g * S), np.where(R > 0, np.inf, 0.0))
+    return bool(np.all(R <= 2 * g * S)), float(ratio.max()), float(R.max())
+
+
+def propagation_reference(A):
+    """Independent route to W: the row recursion W = I + A W in long double.
+
+    A[j, i] is nonzero only for i > j, so row j of W needs only rows of
+    higher-indexed nodes; filling rows from the last node down suffices.
+    """
+    n = len(A)
+    A_ld = A.astype(np.longdouble)
+    W = np.eye(n, dtype=np.longdouble)
+    for j in range(n - 1, -1, -1):
+        parents = np.flatnonzero(A[j])
+        if parents.size:
+            W[j] += A_ld[j, parents] @ W[parents]
+    return W

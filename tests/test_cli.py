@@ -59,6 +59,18 @@ def test_simulate_infeasible_edges(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_simulate_refuses_non_empty_out(tmp_path, capsys):
+    out = tmp_path / "ds"
+    args = ["simulate", "--nodes", "10", "--edges", "15", "--graphs", "2", "--out", str(out)]
+    assert main(args + ["--cases", "3", "--seed", "1"]) == 0
+    before = read_tree_bytes(out)
+    capsys.readouterr()
+    assert main(args + ["--cases", "2", "--seed", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert read_tree_bytes(out) == before  # the first dataset is left intact
+    assert sorted(p.name for p in (out / "g0").iterdir() if p.is_dir()) == ["c0", "c1", "c2"]
+
+
 def test_graph_command_golden(tmp_path, capsys):
     arch = tmp_path / "arch.yaml"
     arch.write_text(WEB_DB_YAML)

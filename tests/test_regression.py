@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rcakit.errors import DimensionMismatch, InsufficientData
-from rcakit.regression import fit_ols, get_backend, predict, predict_rows, sigma_floor
+from rcakit.regression import fit_ols, predict, predict_rows, sigma_floor
 
 
 def lstsq_oracle(y, X):
@@ -125,9 +125,3 @@ def test_prediction_is_affine():
     lhs = predict(model, a * u + b * w)
     rhs = a * predict(model, u) + b * predict(model, w) - (a + b - 1) * model.intercept
     assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
-def test_backend_registry():
-    assert get_backend("linear") is fit_ols
-    with pytest.raises(KeyError):
-        get_backend("svr")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
-from rcakit.errors import EdgeBudgetInfeasible
-from rcakit.model import split_case
+from rcakit import simulation
+from rcakit.errors import EdgeBudgetInfeasible, OutputNotEmpty
+from rcakit.model import case_matrix, split_case
+from rcakit.scoring import SCORER_NAMES, run_scorer
 from rcakit.simulation import (
     FaultType,
     InjectedFault,
@@ -11,18 +12,15 @@ from rcakit.simulation import (
     apply_noise_shift,
     classify_fault,
     draw_root_count,
+    generate_case,
     generate_dag,
     generate_dataset,
-    inject_fault,
     load_dataset,
-    metric_name,
-    propagation_matrix,
     save_dataset,
     simulate_matrix,
-    simulate_series,
 )
 
-from conftest import chain_dag
+from conftest import chain_dag, gamma, inverse_residual, propagation_reference
 
 
 def undirected_connected(A):
@@ -114,12 +112,36 @@ def test_simulate_reproducible():
 def test_propagation_matrix_identity():
     for seed in range(3):
         dag = generate_dag(30, 60, rng_seed=seed)
-        W = propagation_matrix(dag)
-        eye = np.eye(dag.n)
-        assert np.abs((eye - dag.A) @ W - eye).max() < 1e-8
-        # independent route: triangular solve (A is strictly upper triangular)
-        W_oracle = solve_triangular(eye - dag.A, eye)
-        assert np.allclose(W, W_oracle, atol=1e-10)
+        W = dag.W
+        assert dag.W is W and not W.flags.writeable  # solved once, read-only
+        M = np.eye(dag.n) - dag.A
+        g = gamma(int(np.count_nonzero(M, axis=1).max()))
+        assert inverse_residual(M, W, g)[0]
+        forward = np.abs(W - propagation_reference(dag.A)).astype(float)
+        assert np.all(forward <= 2 * g * (np.abs(W) @ np.abs(M) @ np.abs(W)))
+        # control: a W off by a relative 1e-6 must be rejected
+        assert not inverse_residual(M, W * (1 + 1e-6), g)[0]
+
+
+def test_propagation_matrix_solved_once_per_graph(tmp_path, monkeypatch):
+    calls = []
+    solve = simulation.propagation_matrix
+
+    def counted(dag):
+        calls.append(dag)
+        return solve(dag)
+
+    monkeypatch.setattr(simulation, "propagation_matrix", counted)
+    ds = generate_dataset(10, 20, n_graphs=3, cases_per_graph=4, rng_seed=1)
+    assert len(calls) == 3
+    save_dataset(ds, tmp_path / "ds")
+    calls.clear()
+    loaded = load_dataset(tmp_path / "ds")
+    for g in loaded.graphs:
+        for record in g.cases:
+            for name in SCORER_NAMES:
+                run_scorer(name, record.case, g.graph, record.truth)
+    assert calls == []
 
 
 def test_apply_noise_shift_superposition():
@@ -128,8 +150,7 @@ def test_apply_noise_shift_superposition():
     shifted = apply_noise_shift(dag, X, 30, {1: 5.0})
     assert (shifted[:30] == X[:30]).all()          # pre-fault rows untouched
     assert (shifted[30:] != X[30:]).any()
-    W = propagation_matrix(dag)
-    expected_first = W @ np.array([0.0, 5.0 * dag.sigma[1], 0.0])
+    expected_first = dag.W @ np.array([0.0, 5.0 * dag.sigma[1], 0.0])
     assert np.allclose(shifted[30] - X[30], expected_first)
     # two-sample pulse: by the third post-fault sample only the AR tail remains
     delta2 = shifted[32] - X[32]
@@ -143,26 +164,27 @@ def test_draw_root_count_poisson_mean():
     assert min(draws) >= 1
 
 
-def test_inject_fault_contract():
+def test_generate_case_contract():
     dag = generate_dag(20, 40, rng_seed=7)
-    series = simulate_series(dag, 126, rng_seed=8, start_time=0)
-    shifted, fault = inject_fault(dag, series, at=120, rng_seed=9)
+    case, fault = generate_case(dag, rng_seed=9)
     assert isinstance(fault, InjectedFault)
     assert fault.duration == 2
-    assert fault.start == 120
+    assert fault.start == case.detect_time == 120
     assert 0 not in fault.root_causes  # the SLI is never sampled
     assert set(fault.alpha) == set(fault.root_causes)
-    for name in series:
-        assert (shifted[name].values[:120] == series[name].values[:120]).all()
+
+    # the same stream, unfaulted: the case's first draws are the simulation
+    X = simulate_matrix(dag, case.length, np.random.default_rng(9))
+    shifted = case_matrix(case, case.metrics())
+    assert (shifted[:120] == X[:120]).all()
+    assert (shifted[120:] != X[120:]).any()
 
     # the expected SLI deviation clears three reference sigmas
-    X = np.column_stack([series[metric_name(i, dag.n)].values for i in range(dag.n)])
     sigma_hat = X[0:111].std(axis=0)
-    W = propagation_matrix(dag)
     roots = sorted(fault.root_causes)
-    effect = sum(W[0, i] * fault.alpha[i] * dag.sigma[i] for i in roots)
+    effect = sum(dag.W[0, i] * fault.alpha[i] * dag.sigma[i] for i in roots)
     assert abs(effect) >= 3.0 * sigma_hat[0] - 1e-9
-    assert fault.fault_type == classify_fault(dag, sigma_hat, fault)
+    assert fault.fault_type == classify_fault(dag, sigma_hat, roots)
 
 
 def test_classify_fault_definitions():
@@ -240,3 +262,13 @@ def test_dataset_disk_roundtrip(tmp_path):
             assert ca.case == cb.case
             assert ca.truth == cb.truth
             assert ca.fault_type == cb.fault_type
+
+
+def test_save_dataset_refuses_non_empty_dir(tmp_path):
+    ds = generate_dataset(8, 15, n_graphs=1, cases_per_graph=2, rng_seed=11)
+    (tmp_path / "ds").mkdir()
+    save_dataset(ds, tmp_path / "ds")  # an empty directory is fine
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    with pytest.raises(OutputNotEmpty):
+        save_dataset(ds, tmp_path / "ds")
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
