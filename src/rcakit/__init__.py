@@ -14,6 +14,7 @@ from .errors import (
     EdgeBudgetInfeasible,
     EmptyCaseSet,
     InsufficientData,
+    MalformedInput,
     MissingSeries,
     NoEffectiveFault,
     OutputNotEmpty,
@@ -33,19 +34,18 @@ from .model import (
     load_graph,
     save_case,
     save_graph,
-    split_case,
+    window_index_ranges,
 )
 from .archgraph import (
     ArchitectureSpec,
     MetaMetric,
     MetaMetricDim,
     ServiceNode,
-    Skeleton,
     build_skeleton,
     build_structural_graph,
     load_architecture,
 )
-from .regression import FittedModel, fit_ols, predict
+from .regression import FittedModel, fit_ols, predict_rows
 from .scoring import (
     ABNORMAL_THRESHOLD,
     SCORER_NAMES,

@@ -16,7 +16,6 @@ topological order so no cycle can arise.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import yaml
 
-from .errors import CyclicCallGraph, ResultNotDag, UnknownMetaMetric
+from .errors import CyclicCallGraph, MalformedInput, ResultNotDag, UnknownMetaMetric
 from .model import CausalGraph, MetricId
 
 
@@ -85,46 +84,6 @@ class ArchitectureSpec:
         object.__setattr__(self, "metric_map", normalized)
 
 
-class Skeleton:
-    """DAG over meta metrics, with deterministic topological order."""
-
-    __slots__ = ("nodes", "edges", "_parents", "_children", "_order")
-
-    def __init__(self, nodes: Iterable[MetaMetric], edges: Iterable[tuple[MetaMetric, MetaMetric]]):
-        self.nodes = frozenset(nodes)
-        self.edges = frozenset(edges)
-        parents: dict[MetaMetric, list[MetaMetric]] = {v: [] for v in self.nodes}
-        children: dict[MetaMetric, list[MetaMetric]] = {v: [] for v in self.nodes}
-        for parent, child in self.edges:
-            parents[child].append(parent)
-            children[parent].append(child)
-        self._parents = {v: tuple(sorted(ps)) for v, ps in parents.items()}
-        self._children = {v: tuple(sorted(cs)) for v, cs in children.items()}
-        indeg = {v: len(self._parents[v]) for v in self.nodes}
-        ready = [v for v, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for c in self._children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c)
-        if len(order) != len(self.nodes):
-            raise ResultNotDag("skeleton contains a cycle")
-        self._order = tuple(order)
-
-    def parents(self, node: MetaMetric) -> tuple[MetaMetric, ...]:
-        return self._parents[node]
-
-    def children(self, node: MetaMetric) -> tuple[MetaMetric, ...]:
-        return self._children[node]
-
-    def topological_order(self) -> tuple[MetaMetric, ...]:
-        return self._order
-
-
 #: Intra-service causal directions: traffic drives everything, saturation
 #: drives latency and errors, latency drives errors.
 _WITHIN_SERVICE_EDGES = (
@@ -173,8 +132,9 @@ def _check_call_graph(services: Sequence[ServiceNode]) -> dict[str, tuple[str, .
     return callees_of
 
 
-def build_skeleton(services: Sequence[ServiceNode]) -> Skeleton:
-    """Expand a service call graph into the meta-metric skeleton.
+def build_skeleton(services: Sequence[ServiceNode]) -> CausalGraph:
+    """Expand a service call graph into the meta-metric skeleton: a DAG
+    over ``MetaMetric`` nodes.
 
     Callees that appear only on the right-hand side of a call are treated
     as leaf services.
@@ -196,7 +156,10 @@ def build_skeleton(services: Sequence[ServiceNode]) -> Skeleton:
             for dim in MetaMetricDim:
                 edges.add((MetaMetric(callee, dim), MetaMetric(caller, L)))
                 edges.add((MetaMetric(callee, dim), MetaMetric(caller, E)))
-    return Skeleton(nodes, edges)
+    try:
+        return CausalGraph(nodes, edges)
+    except ValueError as exc:
+        raise ResultNotDag(f"skeleton: {exc}") from exc
 
 
 def build_structural_graph(spec: ArchitectureSpec) -> CausalGraph:
@@ -261,33 +224,52 @@ def build_structural_graph(spec: ArchitectureSpec) -> CausalGraph:
         raise ResultNotDag(str(exc)) from exc
 
 
+def _as_list(value, where: str) -> list:
+    """A YAML sequence, or an empty one when absent; a scalar or mapping
+    is rejected rather than iterated (``callees: db`` is not ``[d, b]``)."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise MalformedInput(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
 def load_architecture(path) -> ArchitectureSpec:
-    """Parse an arch.yaml file into an ArchitectureSpec."""
-    payload = yaml.safe_load(Path(path).read_text())
+    """Parse an arch.yaml file into an ArchitectureSpec.
+
+    Raises MalformedInput for a file that does not describe one.
+    """
+    try:
+        payload = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise MalformedInput(f"{path}: not valid YAML ({exc})") from exc
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a mapping with 'services' and 'metrics'")
+        raise MalformedInput(f"{path}: expected a mapping with 'services' and 'metrics'")
     services = []
-    for i, entry in enumerate(payload.get("services") or []):
+    for i, entry in enumerate(_as_list(payload.get("services"), f"{path}: services")):
         if not isinstance(entry, dict) or "name" not in entry:
-            raise ValueError(f"{path}: services[{i}] needs a 'name'")
+            raise MalformedInput(f"{path}: services[{i}] needs a 'name'")
+        callees = _as_list(entry.get("callees"), f"{path}: services[{i}].callees")
+        if not all(isinstance(c, (str, int)) for c in callees):
+            raise MalformedInput(f"{path}: services[{i}].callees must name services")
         services.append(ServiceNode(service=str(entry["name"]),
-                                    callees=tuple(entry.get("callees") or ())))
+                                    callees=tuple(str(c) for c in callees)))
     metric_map: dict[MetricId, frozenset[MetaMetric]] = {}
-    for i, entry in enumerate(payload.get("metrics") or []):
+    for i, entry in enumerate(_as_list(payload.get("metrics"), f"{path}: metrics")):
         if not isinstance(entry, dict) or "name" not in entry or not entry.get("maps_to"):
-            raise ValueError(f"{path}: metrics[{i}] needs 'name' and a non-empty 'maps_to'")
+            raise MalformedInput(f"{path}: metrics[{i}] needs 'name' and a non-empty 'maps_to'")
         name = str(entry["name"])
         if name in metric_map:
-            raise ValueError(f"{path}: metric {name!r} declared twice")
+            raise MalformedInput(f"{path}: metric {name!r} declared twice")
         metas = set()
-        for j, target in enumerate(entry["maps_to"]):
+        for j, target in enumerate(_as_list(entry["maps_to"], f"{path}: metrics[{i}].maps_to")):
             try:
                 dim = MetaMetricDim(str(target["dim"]).lower())
+                metas.add(MetaMetric(service=str(target["service"]), dim=dim))
             except (KeyError, TypeError, ValueError):
-                raise ValueError(
+                raise MalformedInput(
                     f"{path}: metrics[{i}].maps_to[{j}] needs service and "
                     f"dim in {{traffic, saturation, latency, errors}}"
                 ) from None
-            metas.add(MetaMetric(service=str(target["service"]), dim=dim))
         metric_map[name] = frozenset(metas)
     return ArchitectureSpec(services=tuple(services), metric_map=metric_map)

@@ -47,3 +47,8 @@ class EmptyCaseSet(RcakitError):
 
 class OutputNotEmpty(RcakitError):
     """A dataset was to be written into a directory that already holds files."""
+
+
+class MalformedInput(RcakitError, ValueError):
+    """An input file does not describe what it should: a case, an
+    architecture or a graph."""

@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import WindowOutOfRange
+from .errors import MalformedInput, WindowOutOfRange
 
 MetricId = str
 
@@ -58,52 +58,89 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def end_time(self) -> int:
-        """Timestamp of the last sample (inclusive)."""
-        return self.start_time + (len(self) - 1) * self.interval
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return (
-            self.metric == other.metric
-            and self.start_time == other.start_time
-            and self.interval == other.interval
-            and np.array_equal(self.values, other.values)
-        )
+        return _fields_equal(self, other) if isinstance(other, TimeSeries) else NotImplemented
 
 
-@dataclass(frozen=True)
+def _fields_equal(a, b) -> bool:
+    """Field-by-field equality of two records; arrays compare by value."""
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(vars(a).values(), vars(b).values()))
+
+
+def restore_read_only(obj, state: dict) -> None:
+    """``__setstate__`` for frozen classes holding read-only arrays:
+    pickle does not keep numpy's ``writeable`` flag, so set it again."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    obj.__dict__.update(state)
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Case:
-    """A window of multivariate series around one fault detection time.
+    """A window of multivariate samples around one fault detection time.
+
+    ``values`` is one read-only, C-contiguous float64 ``(T, n)`` matrix
+    whose columns follow ``metrics``, the sorted metric names; row ``i``
+    is the sample at ``start_time + i * interval``.  Columns given in
+    another order are sorted on construction.
 
     The covered span is expected to include [detect_time - t_ref,
     detect_time + t_delay].  The reference range [t_d - t_ref, t_d - t_test]
     is closed on both ends; the test range (t_d + t_delay - t_test,
     t_d + t_delay] is open on the left.  Samples between the two ranges
     belong to neither.
+
+    ``series`` is an alternative to ``metrics``, ``values``, ``start_time``
+    and ``interval``: a mapping of aligned ``TimeSeries``, stacked once.
     """
 
-    series: Mapping[MetricId, TimeSeries]
+    metrics: tuple[MetricId, ...] = ()
+    values: Optional[np.ndarray] = field(default=None, repr=False)
+    start_time: Optional[int] = None
+    interval: int = 1
     detect_time: int
     sli: MetricId
     t_ref: int = DEFAULT_T_REF
     t_delay: int = DEFAULT_T_DELAY
     t_test: int = DEFAULT_T_TEST
+    series: InitVar[Optional[Mapping[MetricId, TimeSeries]]] = None
 
-    def __post_init__(self):
-        if not self.series:
-            raise ValueError("a case needs at least one series")
-        object.__setattr__(self, "series", dict(self.series))
-        for name, ts in self.series.items():
-            if name != ts.metric:
-                raise ValueError(f"series key {name!r} does not match metric {ts.metric!r}")
-        first = next(iter(self.series.values()))
-        for ts in self.series.values():
-            if (ts.start_time, ts.interval, len(ts)) != (first.start_time, first.interval, len(first)):
-                raise ValueError("all series in a case must share start_time, interval and length")
-        if self.sli not in self.series:
+    def __post_init__(self, series):
+        if series is not None:
+            if self.metrics or self.values is not None or self.start_time is not None:
+                raise ValueError("give either series or metrics, values and start_time")
+            if any(name != ts.metric for name, ts in series.items()):
+                raise ValueError("series keys must match their metric ids")
+            clocks = {(ts.start_time, ts.interval, len(ts)) for ts in series.values()}
+            if len(clocks) != 1:
+                raise ValueError("a case needs series sharing start_time, interval and length")
+            metrics = sorted(series)
+            (start_time, interval, _), = clocks
+            vars(self).update(metrics=metrics, start_time=start_time, interval=interval,
+                              values=np.column_stack([series[m].values for m in metrics]))
+        if self.values is None or self.start_time is None:
+            raise ValueError("a case needs metrics, values and start_time")
+        metrics = tuple(self.metrics)
+        values = np.asarray(self.values, dtype=np.float64)
+        if not metrics:
+            raise ValueError("a case needs at least one metric")
+        # One sample fits no pair of windows and cannot carry its interval.
+        if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != len(metrics):
+            raise ValueError(f"values must be a (T >= 2, {len(metrics)}) matrix, "
+                             f"got shape {values.shape}")
+        if not all(isinstance(m, str) and m for m in metrics):
+            raise ValueError("metric ids must be non-empty strings")
+        if len(set(metrics)) != len(metrics):
+            duplicates = sorted({m for m in metrics if metrics.count(m) > 1})
+            raise ValueError(f"duplicate metric ids: {', '.join(duplicates)}")
+        if not np.isfinite(values).all():
+            bad = sorted({metrics[j] for j in np.nonzero(~np.isfinite(values))[1]})
+            raise ValueError(f"non-finite values in: {', '.join(bad)}")
+        if self.interval < 1:
+            raise ValueError("interval must be a positive number of minutes")
+        if self.sli not in metrics:
             raise ValueError(f"sli {self.sli!r} has no series in the case")
         if self.t_delay < 0:
             raise ValueError("t_delay must be non-negative")
@@ -111,22 +148,20 @@ class Case:
             raise ValueError("t_test must exceed t_delay")
         if self.t_test > self.t_ref:
             raise ValueError("t_test must not exceed t_ref")
+        order = sorted(range(len(metrics)), key=metrics.__getitem__)
+        # take() copies, so the case owns its matrix and may freeze it.
+        values = np.ascontiguousarray(values.take(order, axis=1))
+        values.flags.writeable = False
+        vars(self).update(metrics=tuple(metrics[j] for j in order), values=values)
 
-    @property
-    def start_time(self) -> int:
-        return next(iter(self.series.values())).start_time
-
-    @property
-    def interval(self) -> int:
-        return next(iter(self.series.values())).interval
+    __setstate__ = restore_read_only
 
     @property
     def length(self) -> int:
-        return len(next(iter(self.series.values())))
+        return self.values.shape[0]
 
-    def metrics(self) -> list[MetricId]:
-        """Metric names in lexicographic order."""
-        return sorted(self.series)
+    def __eq__(self, other) -> bool:
+        return _fields_equal(self, other) if isinstance(other, Case) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -144,7 +179,9 @@ class GroundTruth:
 class CausalGraph:
     """A directed acyclic graph over metric identifiers.
 
-    Edges point from cause (parent) to effect (child).  Construction
+    Any hashable, ordered node type works; the architecture compiler
+    builds its skeleton over meta metrics with this class too.  Edges
+    point from cause (parent) to effect (child).  Construction
     validates acyclicity; parent/children lookups and the topological
     order are precomputed and deterministic.
     """
@@ -153,7 +190,7 @@ class CausalGraph:
 
     def __init__(self, nodes: Iterable[MetricId], edges: Iterable[tuple[MetricId, MetricId]]):
         self.nodes = frozenset(nodes)
-        self.edges = frozenset((str(p), str(c)) for p, c in edges)
+        self.edges = frozenset((p, c) for p, c in edges)
         for parent, child in self.edges:
             if parent not in self.nodes or child not in self.nodes:
                 raise ValueError(f"edge ({parent!r}, {child!r}) references a missing node")
@@ -220,7 +257,7 @@ class CausalGraph:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "CausalGraph":
-        return cls(payload["nodes"], [tuple(e) for e in payload["edges"]])
+        return cls(payload["nodes"], [(str(p), str(c)) for p, c in payload["edges"]])
 
 
 def save_graph(graph: CausalGraph, path) -> None:
@@ -228,7 +265,11 @@ def save_graph(graph: CausalGraph, path) -> None:
 
 
 def load_graph(path) -> CausalGraph:
-    return CausalGraph.from_json(json.loads(Path(path).read_text()))
+    """Read a graph.json; MalformedInput when it does not describe a DAG."""
+    try:
+        return CausalGraph.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
 
 
 def window_index_ranges(case: Case) -> tuple[range, range]:
@@ -259,23 +300,6 @@ def window_index_ranges(case: Case) -> tuple[range, range]:
     return range(ref_lo, ref_hi + 1), range(test_lo, test_hi + 1)
 
 
-def split_case(case: Case) -> tuple[dict[MetricId, np.ndarray], dict[MetricId, np.ndarray]]:
-    """Split each series into its reference and test value sequences."""
-    ref_idx, test_idx = window_index_ranges(case)
-    ref_slice = slice(ref_idx.start, ref_idx.stop)
-    test_slice = slice(test_idx.start, test_idx.stop)
-    reference = {m: ts.values[ref_slice] for m, ts in case.series.items()}
-    test = {m: ts.values[test_slice] for m, ts in case.series.items()}
-    return reference, test
-
-
-def case_matrix(case: Case, metrics: Optional[list[MetricId]] = None) -> np.ndarray:
-    """Stack the case's series as a (time, metric) matrix."""
-    if metrics is None:
-        metrics = case.metrics()
-    return np.column_stack([case.series[m].values for m in metrics])
-
-
 @dataclass(frozen=True)
 class LoadedCase:
     """A case read from disk, plus its optional labels."""
@@ -290,14 +314,12 @@ def save_case(directory, case: Case, truth: Optional[GroundTruth] = None,
     """Write a case directory: data.csv plus case.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    metrics = case.metrics()
-    start, interval, n = case.start_time, case.interval, case.length
-    columns = [case.series[m].values for m in metrics]
-    with open(directory / "data.csv", "w", newline="") as fh:
+    start, interval = case.start_time, case.interval
+    with open(directory / "data.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", *metrics])
-        for i in range(n):
-            writer.writerow([start + i * interval, *(repr(float(col[i])) for col in columns)])
+        writer.writerow(["timestamp", *case.metrics])
+        for i, row in enumerate(case.values.tolist()):
+            writer.writerow([start + i * interval, *map(repr, row)])
     meta = {
         "detect_time": case.detect_time,
         "t_ref": case.t_ref,
@@ -309,48 +331,55 @@ def save_case(directory, case: Case, truth: Optional[GroundTruth] = None,
         meta["root_causes"] = sorted(truth.root_causes)
     if fault_type is not None:
         meta["fault_type"] = fault_type
-    with open(directory / "case.json", "w") as fh:
+    with open(directory / "case.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_case(directory) -> LoadedCase:
-    """Read a case directory written by save_case."""
+    """Read a case directory written by save_case.
+
+    The metric columns of data.csv may come in any order.  Raises
+    MalformedInput for files that do not describe a valid case.
+    """
     directory = Path(directory)
-    meta = json.loads((directory / "case.json").read_text())
-    with open(directory / "data.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "timestamp":
-            raise ValueError(f"{directory}/data.csv: first column must be 'timestamp'")
-        metrics = header[1:]
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{directory}/data.csv has no samples")
     try:
+        meta = json.loads((directory / "case.json").read_text(encoding="utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("case.json must hold a JSON object")
+        with open(directory / "data.csv", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = list(reader)
+        if header[:1] != ["timestamp"]:
+            raise ValueError("the first column of data.csv must be 'timestamp'")
+        for line, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"data.csv line {line} has {len(row)} fields, "
+                                 f"the header {len(header)}")
+        if len(rows) < 2:
+            raise ValueError("data.csv needs at least two samples")
         timestamps = [int(row[0]) for row in rows]
-        data = np.array([[float(v) for v in row[1:]] for row in rows])
-    except ValueError as exc:
-        raise ValueError(f"{directory}/data.csv: malformed value ({exc})") from exc
-    if data.shape[1] != len(metrics):
-        raise ValueError(f"{directory}/data.csv: ragged rows")
-    steps = np.diff(timestamps)
-    if len(steps) and (steps != steps[0]).any():
-        raise ValueError(f"{directory}/data.csv: timestamps are not evenly spaced")
-    interval = int(steps[0]) if len(steps) else 1
-    series = {
-        m: TimeSeries(metric=m, start_time=timestamps[0], interval=interval, values=data[:, j])
-        for j, m in enumerate(metrics)
-    }
-    case = Case(
-        series=series,
-        detect_time=int(meta["detect_time"]),
-        sli=meta["sli"],
-        t_ref=int(meta.get("t_ref", DEFAULT_T_REF)),
-        t_delay=int(meta.get("t_delay", DEFAULT_T_DELAY)),
-        t_test=int(meta.get("t_test", DEFAULT_T_TEST)),
-    )
-    truth = None
-    if meta.get("root_causes"):
-        truth = GroundTruth(frozenset(meta["root_causes"]))
+        steps = set(np.diff(timestamps).tolist())
+        if len(steps) != 1:
+            raise ValueError("data.csv timestamps are not evenly spaced")
+        roots = meta.get("root_causes") or []
+        if not isinstance(roots, list):
+            raise ValueError("root_causes must be a list of metric ids")
+        case = Case(
+            metrics=header[1:],
+            values=np.array([[float(v) for v in row[1:]] for row in rows]),
+            start_time=timestamps[0],
+            interval=steps.pop(),
+            detect_time=int(meta["detect_time"]),
+            sli=meta["sli"],
+            t_ref=int(meta.get("t_ref", DEFAULT_T_REF)),
+            t_delay=int(meta.get("t_delay", DEFAULT_T_DELAY)),
+            t_test=int(meta.get("t_test", DEFAULT_T_TEST)),
+        )
+        truth = GroundTruth(frozenset(roots)) if roots else None
+    except KeyError as exc:
+        raise MalformedInput(f"{directory}/case.json: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{directory}: {exc}") from exc
     return LoadedCase(case=case, truth=truth, fault_type=meta.get("fault_type"))

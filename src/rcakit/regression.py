@@ -42,9 +42,10 @@ class FittedModel:
             raise ValueError("residual_std must be positive (floored)")
 
 
-def sigma_floor(target_std: float) -> float:
-    """Smallest residual std accepted for a target with this spread."""
-    return SIGMA_FLOOR_SCALE * max(1.0, target_std)
+def sigma_floor(target_std):
+    """Smallest residual std accepted for a target with this spread
+    (elementwise for an array of spreads)."""
+    return SIGMA_FLOOR_SCALE * np.maximum(1.0, target_std)
 
 
 def fit_ols(
@@ -113,18 +114,8 @@ def fit_ols(
     )
 
 
-def predict(model: FittedModel, feature_row: Sequence[float]) -> float:
-    """Evaluate the fitted relation on one feature row."""
-    row = np.asarray(feature_row, dtype=float)
-    if row.shape != (len(model.features),):
-        raise DimensionMismatch(
-            f"model expects {len(model.features)} features, got {row.shape}"
-        )
-    return float(model.intercept + model.coefficients @ row)
-
-
 def predict_rows(model: FittedModel, feature_rows: np.ndarray) -> np.ndarray:
-    """Vectorized predict over a (rows, features) matrix."""
+    """Evaluate the fitted relation on each row of a (rows, features) matrix."""
     rows = np.asarray(feature_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != len(model.features):
         raise DimensionMismatch(

@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import MissingSeries
-from .model import Case, CausalGraph, GroundTruth, MetricId, Ranking, case_matrix, window_index_ranges
+from .model import Case, CausalGraph, GroundTruth, MetricId, Ranking, window_index_ranges
 from .regression import fit_ols, predict_rows, sigma_floor
 
 #: Scores at or above this many sigmas count as abnormal (the three-sigma
@@ -64,7 +64,7 @@ def save_scores(path, table: ScoreTable, ranking: Optional[Ranking] = None) -> N
 
 
 def _require_series(case: Case, metrics) -> None:
-    missing = sorted(set(metrics) - set(case.series))
+    missing = sorted(set(metrics) - set(case.metrics))
     if missing:
         raise MissingSeries(f"case has no series for: {', '.join(missing)}")
 
@@ -83,9 +83,8 @@ def rht_score(
     metric's score is the maximum over the test window.
     """
     _require_series(case, graph.nodes)
-    metrics = case.metrics()
-    col = {m: j for j, m in enumerate(metrics)}
-    full = case_matrix(case, metrics)
+    col = {m: j for j, m in enumerate(case.metrics)}
+    full = case.values
     ref_idx, test_idx = window_index_ranges(case)
     ref = full[ref_idx.start:ref_idx.stop]
     test = full[test_idx.start:test_idx.stop]
@@ -115,17 +114,17 @@ def rht_score(
 
 
 def nsigma_score(case: Case) -> dict[MetricId, float]:
-    """Score each series by its largest test z-score against the reference."""
+    """Score each metric by its largest test z-score against the reference."""
     ref_idx, test_idx = window_index_ranges(case)
-    scores: dict[MetricId, float] = {}
-    for metric, ts in case.series.items():
-        ref = ts.values[ref_idx.start:ref_idx.stop]
-        test = ts.values[test_idx.start:test_idx.stop]
-        mu = float(ref.mean())
-        sigma = float(ref.std())  # population std
-        sigma = max(sigma, sigma_floor(sigma))
-        scores[metric] = float(np.abs(test - mu).max() / sigma)
-    return scores
+    # One contiguous row per metric reduces pairwise like a single series,
+    # so the scores equal a per-metric loop's bit for bit.
+    ref = np.ascontiguousarray(case.values[ref_idx.start:ref_idx.stop].T)
+    test = case.values[test_idx.start:test_idx.stop]
+    mu = ref.mean(axis=1)
+    sigma = ref.std(axis=1)  # population std
+    sigma = np.maximum(sigma, sigma_floor(sigma))
+    scores = np.abs(test - mu).max(axis=0) / sigma
+    return dict(zip(case.metrics, scores.tolist()))
 
 
 def descendant_adjust(
@@ -205,7 +204,7 @@ def dfs_score(
 
 def ideal_score(case: Case, truth: GroundTruth) -> dict[MetricId, float]:
     """Oracle scores: 1 for true root causes, 0 elsewhere."""
-    return {m: (1.0 if m in truth.root_causes else 0.0) for m in case.series}
+    return {m: (1.0 if m in truth.root_causes else 0.0) for m in case.metrics}
 
 
 def run_scorer(

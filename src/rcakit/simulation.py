@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import EdgeBudgetInfeasible, NoEffectiveFault, OutputNotEmpty
+from .errors import EdgeBudgetInfeasible, MalformedInput, NoEffectiveFault, OutputNotEmpty
 from .model import (
     DEFAULT_T_DELAY,
     DEFAULT_T_REF,
@@ -32,8 +32,8 @@ from .model import (
     GroundTruth,
     LoadedCase,
     MetricId,
-    TimeSeries,
     load_case,
+    restore_read_only,
     save_case,
 )
 
@@ -72,6 +72,8 @@ class WeightedDag:
     A: np.ndarray
     sigma: np.ndarray
     beta: float = DEFAULT_BETA
+
+    __setstate__ = restore_read_only
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -195,15 +197,6 @@ def simulate_matrix(dag: WeightedDag, length: int, rng_seed) -> np.ndarray:
     for t in range(1, length):
         X[t] = W @ (dag.beta * X[t - 1] + noise[t])
     return X
-
-
-def _matrix_to_series(X: np.ndarray, n_node: int, start_time: int) -> dict[MetricId, TimeSeries]:
-    return {
-        metric_name(i, n_node): TimeSeries(
-            metric=metric_name(i, n_node), start_time=start_time, values=X[:, i]
-        )
-        for i in range(n_node)
-    }
 
 
 @dataclass(frozen=True)
@@ -347,18 +340,6 @@ class SimulatedDataset:
         return sum(len(g.cases) for g in self.graphs)
 
 
-def _case_from_matrix(X: np.ndarray, n_node: int, detect_time: int,
-                      t_ref: int, t_delay: int, t_test: int) -> Case:
-    return Case(
-        series=_matrix_to_series(X, n_node, start_time=detect_time - t_ref),
-        detect_time=detect_time,
-        sli=metric_name(0, n_node),
-        t_ref=t_ref,
-        t_delay=t_delay,
-        t_test=t_test,
-    )
-
-
 def generate_case(dag: WeightedDag, rng_seed,
                   t_ref: int = DEFAULT_T_REF,
                   t_delay: int = DEFAULT_T_DELAY,
@@ -379,8 +360,8 @@ def generate_case(dag: WeightedDag, rng_seed,
     roots, alpha = _sample_fault(dag, sigma_hat, rng, poisson_rate)
     alpha_map = {int(i): float(a) for i, a in zip(roots, alpha)}
     faulty = apply_noise_shift(dag, X, at_index, alpha_map)
-    case = _case_from_matrix(faulty, dag.n, detect_time=t_ref,
-                             t_ref=t_ref, t_delay=t_delay, t_test=t_test)
+    case = Case(metrics=dag.node_names(), values=faulty, start_time=0, detect_time=t_ref,
+                sli=metric_name(0, dag.n), t_ref=t_ref, t_delay=t_delay, t_test=t_test)
     fault = InjectedFault(
         root_causes=frozenset(alpha_map),
         alpha=alpha_map,
@@ -506,15 +487,18 @@ def load_dataset(directory) -> SimulatedDataset:
         graph_file = graph_dir / "graph.json"
         if not graph_file.exists():
             continue
-        payload = json.loads(graph_file.read_text())
-        graph = CausalGraph.from_json(payload)
-        dag = None
-        if "A" in payload:
-            dag = WeightedDag(
-                A=np.array(payload["A"], dtype=float),
-                sigma=np.array(payload["sigma"], dtype=float),
-                beta=float(payload.get("beta", DEFAULT_BETA)),
-            )
+        try:
+            payload = json.loads(graph_file.read_text(encoding="utf-8"))
+            graph = CausalGraph.from_json(payload)
+            dag = None
+            if "A" in payload:
+                dag = WeightedDag(
+                    A=np.array(payload["A"], dtype=float),
+                    sigma=np.array(payload["sigma"], dtype=float),
+                    beta=float(payload.get("beta", DEFAULT_BETA)),
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput(f"{graph_file}: {exc}") from exc
         records = []
         for case_dir in sorted(p for p in graph_dir.iterdir() if p.is_dir()):
             loaded: LoadedCase = load_case(case_dir)

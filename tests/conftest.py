@@ -1,9 +1,10 @@
 """Shared builders for the test suite."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from rcakit.model import Case, CausalGraph, TimeSeries
+from rcakit.model import Case, CausalGraph
 from rcakit.simulation import WeightedDag
 
 
@@ -15,12 +16,9 @@ def make_case(values_by_metric, detect_time, sli=None, start_time=None,
         sli = metrics[0]
     if start_time is None:
         start_time = detect_time - t_ref
-    series = {
-        m: TimeSeries(metric=m, start_time=start_time, values=np.asarray(v, dtype=float))
-        for m, v in values_by_metric.items()
-    }
-    return Case(series=series, detect_time=detect_time, sli=sli,
-                t_ref=t_ref, t_delay=t_delay, t_test=t_test)
+    values = np.column_stack([np.asarray(values_by_metric[m], dtype=float) for m in metrics])
+    return Case(metrics=metrics, values=values, start_time=start_time,
+                detect_time=detect_time, sli=sli, t_ref=t_ref, t_delay=t_delay, t_test=t_test)
 
 
 def chain_dag(weights=(1.2, -0.8), sigma=(0.7, 1.1, 0.9), beta=0.1):
@@ -29,6 +27,12 @@ def chain_dag(weights=(1.2, -0.8), sigma=(0.7, 1.1, 0.9), beta=0.1):
     A[1, 2] = weights[0]
     A[0, 1] = weights[1]
     return WeightedDag(A=A, sigma=np.asarray(sigma, dtype=float), beta=beta)
+
+
+def chain_case(X, detect_time=120):
+    """A Case over a simulated (T, 3) matrix of the chain DAG, SLI m0."""
+    return Case(metrics=("m0", "m1", "m2"), values=X, start_time=0,
+                detect_time=detect_time, sli="m0")
 
 
 @pytest.fixture
@@ -48,6 +52,15 @@ def random_dagscores(rng, n_nodes=8, edge_prob=0.35, score_scale=6.0):
     graph = CausalGraph(nodes=names, edges=edges)
     scores = {m: float(rng.random() * score_scale) for m in names}
     return graph, scores
+
+
+def lexicographic_networkx_order(graph):
+    """networkx's topological order with lexicographic tie-break: an oracle
+    for ``CausalGraph.topological_order``."""
+    g = nx.DiGraph()
+    g.add_nodes_from(graph.nodes)
+    g.add_edges_from(graph.edges)
+    return tuple(nx.lexicographical_topological_sort(g))
 
 
 UNIT_ROUNDOFF = 2.0 ** -53  # float64

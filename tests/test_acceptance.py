@@ -18,11 +18,10 @@ import pytest
 from rcakit.archgraph import build_structural_graph
 from rcakit.cli import main
 from rcakit.evaluation import ac_at_k, evaluate
-from rcakit.model import Case, CausalGraph, GroundTruth
+from rcakit.model import CausalGraph, GroundTruth
 from rcakit.scoring import descendant_adjust, rank, rht_score
 from rcakit.simulation import (
     WeightedDag,
-    _matrix_to_series,
     apply_noise_shift,
     generate_dag,
     generate_dataset,
@@ -30,7 +29,7 @@ from rcakit.simulation import (
     simulate_matrix,
 )
 
-from conftest import gamma, inverse_residual, propagation_reference
+from conftest import chain_case, gamma, inverse_residual, propagation_reference
 from test_archgraph import WEB_DB_GOLDEN_EDGES, web_db_spec
 
 SEED = 7
@@ -199,8 +198,7 @@ def test_criterion_09_intervention_recognition_monte_carlo():
         dag = WeightedDag(A=A, sigma=np.maximum(rng.exponential(1.0, 3), 0.01))
         X = simulate_matrix(dag, 126, rng)
         faulty = apply_noise_shift(dag, X, 120, {1: 10.0})
-        case = Case(series=_matrix_to_series(faulty, 3, start_time=0),
-                    detect_time=120, sli="m0")
+        case = chain_case(faulty)
         scores = rht_score(case, dag.to_causal_graph(), use_lagged_self=True)
         if rank(scores)[0][0] == "m1":
             ranked_first += 1

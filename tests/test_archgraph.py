@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rcakit.archgraph import (
@@ -9,7 +10,9 @@ from rcakit.archgraph import (
     build_structural_graph,
     load_architecture,
 )
-from rcakit.errors import CyclicCallGraph, UnknownMetaMetric
+from rcakit.errors import CyclicCallGraph, MalformedInput, UnknownMetaMetric
+
+from conftest import lexicographic_networkx_order
 
 T, S, L, E = (MetaMetricDim.TRAFFIC, MetaMetricDim.SATURATION,
               MetaMetricDim.LATENCY, MetaMetricDim.ERRORS)
@@ -224,3 +227,37 @@ def test_load_architecture_rejects_bad_dim(tmp_path):
     )
     with pytest.raises(ValueError):
         load_architecture(path)
+
+
+@pytest.mark.parametrize("text", [
+    "services:\n  - name: web\n    callees: db\n",
+    "services: [{name: web}]\nmetrics:\n  - name: x\n    maps_to: {service: web, dim: traffic}\n",
+    "services: [{name: web}]\nmetrics:\n  - name: x\n    maps_to: web\n",
+    "services: {name: web}\n",
+    "services: [{name: web]\n",
+])
+def test_load_architecture_rejects_malformed_yaml(tmp_path, text):
+    path = tmp_path / "arch.yaml"
+    path.write_text(text)
+    with pytest.raises(MalformedInput):
+        load_architecture(path)
+
+
+def test_skeleton_topological_order_matches_networkx():
+    architectures = [
+        [ServiceNode("s")],
+        [ServiceNode("web", ("db",)), ServiceNode("db")],
+        [ServiceNode("gw", ("auth", "cart")), ServiceNode("cart", ("cache", "db")),
+         ServiceNode("auth", ("db",))],
+    ]
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        k = int(rng.integers(2, 12))
+        names = [f"svc{int(i)}" for i in rng.permutation(100)[:k]]
+        architectures.append([
+            ServiceNode(names[i], tuple(names[j] for j in range(i + 1, k) if rng.random() < 0.3))
+            for i in range(k)
+        ])
+    for services in architectures:
+        skeleton = build_skeleton(services)
+        assert skeleton.topological_order() == lexicographic_networkx_order(skeleton)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from rcakit.cli import main
+from rcakit.errors import MalformedInput
+from rcakit.model import load_case
 
 WEB_DB_YAML = """\
 services:
@@ -221,3 +223,72 @@ def test_config_file_precedence(dataset_dir, tmp_path, capsys):
     assert main(["analyze", str(dataset_dir / "g0" / "c2"), "--config", str(config),
                  "--top", "1", "--out", str(out)]) == 0
     assert "top 1" in capsys.readouterr().out
+
+
+GOOD_META = '{"detect_time": 2, "t_ref": 2, "t_delay": 0, "t_test": 1, "sli": "a"}'
+GOOD_CSV = "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"
+
+
+@pytest.mark.parametrize("meta, data", [
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n\n1,2.0,3.0\n2,3.0,5.0\n"),   # blank row
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0\n2,3.0,5.0\n"),         # ragged row
+    ("[1, 2]", GOOD_CSV),                                                 # not an object
+    ('{"sli": "a"}', GOOD_CSV),                                           # no detect_time
+    ('{"detect_time": 2, "t_ref": 2, "t_delay": 0, "t_test": 1}', GOOD_CSV),  # no sli
+    (GOOD_META, "timestamp,a,a\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"),   # duplicate column
+], ids=["blank-row", "ragged-row", "json-not-object", "no-detect-time", "no-sli",
+        "duplicate-column"])
+def test_analyze_malformed_case_is_an_error(tmp_path, capsys, meta, data):
+    case_dir = tmp_path / "case"
+    case_dir.mkdir()
+    (case_dir / "case.json").write_text(meta)
+    (case_dir / "data.csv").write_text(data)
+    with pytest.raises(MalformedInput):
+        load_case(case_dir)
+    assert main(["analyze", str(case_dir), "--scorer", "nsigma",
+                 "--out", str(tmp_path / "scores.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "scores.json").exists()
+
+
+def test_analyze_well_formed_case_control(tmp_path):
+    case_dir = tmp_path / "case"
+    case_dir.mkdir()
+    (case_dir / "case.json").write_text(GOOD_META)
+    (case_dir / "data.csv").write_text(GOOD_CSV)
+    assert main(["analyze", str(case_dir), "--scorer", "nsigma",
+                 "--out", str(tmp_path / "scores.json")]) == 0
+
+
+def test_graph_command_rejects_scalar_callees(tmp_path, capsys):
+    arch = tmp_path / "arch.yaml"
+    arch.write_text("services:\n  - name: web\n    callees: db\nmetrics: []\n")
+    assert main(["graph", str(arch), "--out", str(tmp_path / "g.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "callees must be a list" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("graph", ['[1]', '{"nodes": ["a"]}', '{"nodes": ["a"], "edges": [["a"]]}'],
+                         ids=["not-an-object", "no-edges", "short-edge"])
+def test_analyze_malformed_graph_is_an_error(tmp_path, capsys, graph):
+    case_dir = tmp_path / "case"
+    case_dir.mkdir()
+    (case_dir / "case.json").write_text(GOOD_META)
+    (case_dir / "data.csv").write_text(GOOD_CSV)
+    (tmp_path / "graph.json").write_text(graph)
+    assert main(["analyze", str(case_dir), "--graph", str(tmp_path / "graph.json"),
+                 "--scorer", "rht", "--out", str(tmp_path / "scores.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evaluate_malformed_dataset_graph_is_an_error(tmp_path, capsys):
+    case_dir = tmp_path / "ds" / "g0" / "c0"
+    case_dir.mkdir(parents=True)
+    (case_dir / "case.json").write_text(GOOD_META)
+    (case_dir / "data.csv").write_text(GOOD_CSV)
+    (tmp_path / "ds" / "g0" / "graph.json").write_text("[1]")
+    assert main(["evaluate", str(tmp_path / "ds"), "--scorers", "nsigma", "--jobs", "1",
+                 "--out", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -104,14 +104,13 @@ def test_evaluate_parallel_matches_serial(tiny_dataset):
 def test_evaluate_fail_soft(tiny_dataset):
     # drop one series from one case so the regression scorer fails there
     from dataclasses import replace
-    from rcakit.model import Case
 
     g0 = tiny_dataset.graphs[0]
     broken_case = g0.cases[0].case
-    kept = {m: ts for m, ts in broken_case.series.items() if m != "m5"}
-    broken = replace(g0.cases[0], case=Case(
-        series=kept, detect_time=broken_case.detect_time, sli=broken_case.sli,
-        t_ref=broken_case.t_ref, t_delay=broken_case.t_delay, t_test=broken_case.t_test,
+    kept = [j for j, m in enumerate(broken_case.metrics) if m != "m5"]
+    broken = replace(g0.cases[0], case=replace(
+        broken_case, metrics=tuple(broken_case.metrics[j] for j in kept),
+        values=broken_case.values[:, kept],
     ))
     dataset = replace(tiny_dataset, graphs=(
         replace(g0, cases=(broken,) + g0.cases[1:]),

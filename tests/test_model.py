@@ -1,5 +1,13 @@
+import csv
+import pickle
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rcakit.errors import WindowOutOfRange
 from rcakit.model import (
@@ -11,11 +19,10 @@ from rcakit.model import (
     load_graph,
     save_case,
     save_graph,
-    split_case,
     window_index_ranges,
 )
 
-from conftest import make_case
+from conftest import lexicographic_networkx_order, make_case
 
 
 def test_split_windows_default_example():
@@ -23,12 +30,14 @@ def test_split_windows_default_example():
     # test covers (995, 1005], i.e. 111 and 10 samples.
     n = 126  # minutes 880..1005
     case = make_case({"a": np.arange(n), "b": np.zeros(n)}, detect_time=1000)
-    reference, test = split_case(case)
-    assert len(reference["a"]) == 111
-    assert len(test["a"]) == 10
+    ref_idx, test_idx = window_index_ranges(case)
+    reference = case.values[ref_idx.start:ref_idx.stop, case.metrics.index("a")]
+    test = case.values[test_idx.start:test_idx.stop, case.metrics.index("a")]
+    assert len(reference) == 111
+    assert len(test) == 10
     # column "a" holds its own offset, so values identify the minutes
-    assert reference["a"][0] == 0 and reference["a"][-1] == 110      # 880..990
-    assert test["a"][0] == 116 and test["a"][-1] == 125              # 996..1005
+    assert reference[0] == 0 and reference[-1] == 110      # 880..990
+    assert test[0] == 116 and test[-1] == 125              # 996..1005
 
 
 def test_split_span_too_short():
@@ -36,7 +45,7 @@ def test_split_span_too_short():
     values = np.zeros(56)
     case = make_case({"a": values}, detect_time=1000, start_time=950)
     with pytest.raises(WindowOutOfRange):
-        split_case(case)
+        window_index_ranges(case)
 
 
 def test_split_boundary_inclusion():
@@ -84,6 +93,57 @@ def test_series_alignment_required():
         Case(series={"a": a, "b": b}, detect_time=5, sli="a", t_ref=2, t_delay=0, t_test=1)
 
 
+def test_case_holds_one_sorted_read_only_matrix():
+    raw = np.arange(12.0).reshape(4, 3)
+    case = Case(metrics=("c", "a", "b"), values=raw, start_time=0, detect_time=3, sli="a",
+                t_ref=3, t_delay=0, t_test=1)
+    assert case.metrics == ("a", "b", "c")
+    assert (case.values == raw[:, [1, 2, 0]]).all()
+    assert case.values.dtype == np.float64
+    assert case.values.flags.c_contiguous and not case.values.flags.writeable
+    assert raw.flags.writeable  # the case copies the caller's array rather than freezing it
+
+
+def test_series_adapter_equals_matrix_constructor():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(2, 10))
+    windows = dict(detect_time=11, sli="b", t_ref=6, t_delay=1, t_test=2)
+    via_series = Case(series={"b": TimeSeries("b", 5, b, 2), "a": TimeSeries("a", 5, a, 2)},
+                      **windows)
+    direct = Case(metrics=("a", "b"), values=np.column_stack([a, b]), start_time=5,
+                  interval=2, **windows)
+    assert via_series == direct
+    assert (via_series.start_time, via_series.interval, via_series.length) == (5, 2, 10)
+    with pytest.raises(ValueError):
+        Case(series={"a": TimeSeries("a", 5, a, 2)}, metrics=("a",), values=a[:, None],
+             start_time=5, **windows)
+
+
+@pytest.mark.parametrize("metrics, values, message", [
+    (("a", "a"), np.zeros((3, 2)), "duplicate"),
+    (("a", ""), np.zeros((3, 2)), "non-empty"),
+    (("a",), np.zeros((3, 2)), "matrix"),
+    (("a",), np.zeros((0, 1)), "matrix"),
+    (("a",), np.zeros((1, 1)), "matrix"),
+    (("a",), np.array([[1.0], [np.nan], [2.0]]), "non-finite"),
+    ((), np.zeros((3, 0)), "at least one"),
+])
+def test_case_rejects_malformed_matrix(metrics, values, message):
+    with pytest.raises(ValueError, match=message):
+        Case(metrics=metrics, values=values, start_time=0, detect_time=2, sli="a",
+             t_ref=2, t_delay=0, t_test=1)
+
+
+def test_case_pickle_keeps_matrix_read_only():
+    case = make_case({"a": np.arange(126.0), "b": np.ones(126)}, detect_time=0)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(case, protocol))
+        assert clone == case
+        assert not clone.values.flags.writeable
+        with pytest.raises(ValueError):
+            clone.values[0, 0] = 1.0
+
+
 def test_non_finite_values_rejected():
     with pytest.raises(ValueError):
         TimeSeries(metric="a", start_time=0, values=np.array([1.0, np.nan]))
@@ -122,6 +182,69 @@ def test_load_rejects_missing_values(tmp_path):
     (d / "data.csv").write_text("timestamp,a\n0,1.0\n1,\n2,3.0\n")
     with pytest.raises(ValueError):
         load_case(d)
+
+
+def test_load_case_sorts_permuted_columns(tmp_path):
+    d = tmp_path / "c"
+    d.mkdir()
+    (d / "case.json").write_text('{"detect_time": 2, "t_ref": 2, "t_delay": 0, "t_test": 1, "sli": "a"}')
+    (d / "data.csv").write_text("timestamp,b,a\n0,1.0,2.0\n1,3.0,4.0\n2,5.0,6.0\n")
+    case = load_case(d).case
+    assert case.metrics == ("a", "b")
+    assert case.values.tolist() == [[2.0, 1.0], [4.0, 3.0], [6.0, 5.0]]
+
+
+metric_names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@st.composite
+def saved_cases(draw):
+    """A case with extreme values and odd metric names, plus a column order."""
+    metrics = draw(st.lists(metric_names, min_size=1, max_size=5, unique=True))
+    t_delay = draw(st.integers(0, 5))
+    t_test = draw(st.integers(t_delay + 1, t_delay + 6))
+    t_ref = draw(st.integers(t_test, t_test + 10))
+    rows = draw(st.integers(2, 8))
+    values = draw(arrays(np.float64, (rows, len(metrics)),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    case = Case(metrics=metrics, values=values,
+                start_time=draw(st.integers(-10**9, 10**9)),
+                interval=draw(st.integers(1, 60)),
+                detect_time=draw(st.integers(-10**9, 10**9)),
+                sli=draw(st.sampled_from(metrics)),
+                t_ref=t_ref, t_delay=t_delay, t_test=t_test)
+    return case, draw(st.permutations(range(len(metrics))))
+
+
+@settings(deadline=None)
+@given(saved_cases())
+def test_save_load_roundtrip_property(drawn):
+    case, order = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "case"
+        save_case(directory, case)
+        assert load_case(directory).case == case
+        # the same file with its metric columns shuffled loads the same case
+        path = directory / "data.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([row[0], *(row[1 + j] for j in order)] for row in table)
+        loaded = load_case(directory).case
+    assert loaded == case
+    assert (loaded.values.view(np.uint64) == case.values.view(np.uint64)).all()  # -0.0 too
+
+
+def test_topological_order_matches_networkx():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        # random names, so the lexicographic tie-break differs from index order
+        names = [f"v{int(i)}" for i in rng.permutation(1000)[:n]]
+        edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.2]
+        graph = CausalGraph(names, edges)
+        assert graph.topological_order() == lexicographic_networkx_order(graph)
 
 
 def test_graph_rejects_cycles_and_bad_edges():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rcakit.errors import DimensionMismatch, InsufficientData
-from rcakit.regression import fit_ols, predict, predict_rows, sigma_floor
+from rcakit.regression import fit_ols, predict_rows, sigma_floor
 
 
 def lstsq_oracle(y, X):
@@ -26,7 +26,7 @@ def test_intercept_only_model():
     model = fit_ols(y, np.empty((4, 0)))
     assert model.intercept == pytest.approx(y.mean())
     assert model.residual_std == pytest.approx(y.std())  # population std
-    assert predict(model, []) == pytest.approx(y.mean())
+    assert predict_rows(model, np.empty((1, 0)))[0] == pytest.approx(y.mean())
 
 
 def test_noisy_fit_matches_oracle():
@@ -64,7 +64,7 @@ def test_constant_feature_gets_zero_weight():
     model = fit_ols(y, X)
     assert model.coefficients[0] == pytest.approx(2.0, abs=1e-6)
     assert abs(model.coefficients[1]) < 1e-6
-    assert predict(model, [0.0, 7.0]) == pytest.approx(1.0, abs=1e-6)
+    assert predict_rows(model, [[0.0, 7.0]])[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_insufficient_data():
@@ -74,19 +74,18 @@ def test_insufficient_data():
 
 def test_predict_arithmetic():
     model = fit_ols(np.array([5.0, 5.0, 5.0]), np.empty((3, 0)))
-    assert predict(model, []) == 5.0
+    assert predict_rows(model, np.empty((1, 0)))[0] == 5.0
 
     x = np.array([0.0, 1.0, 2.0, 3.0])
     model = fit_ols(2.0 * x + 1.0, x.reshape(-1, 1))
-    assert predict(model, [3.0]) == pytest.approx(7.0)
-    assert predict(model, [10.0]) == pytest.approx(21.0)
+    assert predict_rows(model, [[3.0], [10.0]]) == pytest.approx([7.0, 21.0])
 
 
 def test_predict_dimension_mismatch():
     x = np.arange(10.0)
     model = fit_ols(2 * x, x.reshape(-1, 1))
     with pytest.raises(DimensionMismatch):
-        predict(model, [1.0, 2.0])
+        predict_rows(model, [[1.0, 2.0]])
     with pytest.raises(DimensionMismatch):
         predict_rows(model, np.zeros((3, 2)))
 
@@ -122,6 +121,6 @@ def test_prediction_is_affine():
     model = fit_ols(y, X)
     u, w = rng.normal(size=2), rng.normal(size=2)
     a, b = 0.7, -1.3
-    lhs = predict(model, a * u + b * w)
-    rhs = a * predict(model, u) + b * predict(model, w) - (a + b - 1) * model.intercept
+    lhs, pu, pw = predict_rows(model, np.array([a * u + b * w, u, w]))
+    rhs = a * pu + b * pw - (a + b - 1) * model.intercept
     assert lhs == pytest.approx(rhs, abs=1e-9)

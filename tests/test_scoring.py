@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rcakit.errors import MissingSeries
-from rcakit.model import CausalGraph
+from rcakit.model import CausalGraph, window_index_ranges
+from rcakit.regression import sigma_floor
 from rcakit.scoring import (
     ScoreTable,
     descendant_adjust,
@@ -14,10 +15,9 @@ from rcakit.scoring import (
     run_scorer,
 )
 from rcakit.model import GroundTruth
-from rcakit.simulation import apply_noise_shift, simulate_matrix, _matrix_to_series
-from rcakit.model import Case
+from rcakit.simulation import apply_noise_shift, simulate_matrix
 
-from conftest import chain_dag, make_case, random_dagscores
+from conftest import chain_case, chain_dag, make_case, random_dagscores
 
 
 def tiny_case(reference, test, metric="a", extra=None):
@@ -55,6 +55,23 @@ def test_nsigma_large_sample():
     assert nsigma_score(case)["a"] == pytest.approx(3.0, abs=0.15)
 
 
+def test_nsigma_equals_per_metric_loop():
+    # the vectorized scorer against the per-series loop it replaced, bit for bit
+    rng = np.random.default_rng(12)
+    columns = {f"m{i}": rng.normal(size=126) * 10.0 ** rng.integers(-8, 9) + rng.normal()
+               for i in range(40)}
+    columns["flat"] = np.full(126, 3.0)  # sigma floor
+    case = make_case(columns, detect_time=120)
+    ref_idx, test_idx = window_index_ranges(case)
+    scores = nsigma_score(case)
+    for j, metric in enumerate(case.metrics):
+        ref = case.values[ref_idx.start:ref_idx.stop, j]
+        test = case.values[test_idx.start:test_idx.stop, j]
+        sigma = float(ref.std())
+        sigma = max(sigma, float(sigma_floor(sigma)))
+        assert scores[metric] == float(np.abs(test - float(ref.mean())).max() / sigma)
+
+
 # --- rht ------------------------------------------------------------------
 
 def test_rht_follows_training_relationship():
@@ -90,8 +107,7 @@ def test_rht_chain_intervention_criterion():
     rng = np.random.default_rng(3)
     X = simulate_matrix(dag, 126, rng)
     faulty = apply_noise_shift(dag, X, 120, {1: 10.0})
-    case = Case(series=_matrix_to_series(faulty, 3, start_time=0),
-                detect_time=120, sli="m0")
+    case = chain_case(faulty)
     scores = rht_score(case, dag.to_causal_graph(), use_lagged_self=True)
     assert scores["m1"] > 5.0
     assert scores["m2"] < 3.0   # upstream parent untouched
@@ -234,8 +250,7 @@ def test_run_scorer_contracts():
     rng = np.random.default_rng(8)
     X = simulate_matrix(dag, 126, rng)
     faulty = apply_noise_shift(dag, X, 120, {1: 8.0})
-    case = Case(series=_matrix_to_series(faulty, 3, start_time=0),
-                detect_time=120, sli="m0")
+    case = chain_case(faulty)
     graph = dag.to_causal_graph()
     truth = GroundTruth(frozenset({"m1"}))
 
@@ -269,7 +284,7 @@ def test_run_scorer_contracts():
 def test_run_scorer_option_overrides():
     dag = chain_dag()
     X = simulate_matrix(dag, 126, np.random.default_rng(9))
-    case = Case(series=_matrix_to_series(X, 3, start_time=0), detect_time=120, sli="m0")
+    case = chain_case(X)
     graph = dag.to_causal_graph()
     plain, _ = run_scorer("rht", case, graph)
     as_pg, _ = run_scorer("rht", case, graph, lagged=True)

@@ -1,9 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from rcakit import simulation
 from rcakit.errors import EdgeBudgetInfeasible, OutputNotEmpty
-from rcakit.model import case_matrix, split_case
+from rcakit.model import window_index_ranges
 from rcakit.scoring import SCORER_NAMES, run_scorer
 from rcakit.simulation import (
     FaultType,
@@ -175,7 +177,7 @@ def test_generate_case_contract():
 
     # the same stream, unfaulted: the case's first draws are the simulation
     X = simulate_matrix(dag, case.length, np.random.default_rng(9))
-    shifted = case_matrix(case, case.metrics())
+    shifted = case.values
     assert (shifted[:120] == X[:120]).all()
     assert (shifted[120:] != X[120:]).any()
 
@@ -225,7 +227,7 @@ def test_generate_dataset_shape_and_labels():
             assert case.sli not in record.truth.root_causes
             assert record.truth.root_causes <= g.graph.nodes
             assert record.fault_type in {t.value for t in FaultType}
-            split_case(case)  # windows must be coverable
+            window_index_ranges(case)  # windows must be coverable
 
 
 def test_generate_dataset_reproducible():
@@ -272,3 +274,15 @@ def test_save_dataset_refuses_non_empty_dir(tmp_path):
     with pytest.raises(OutputNotEmpty):
         save_dataset(ds, tmp_path / "ds")
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+def test_weighted_dag_pickle_keeps_arrays_read_only():
+    dag = generate_dag(20, 40, rng_seed=3)
+    dag.W  # solved before pickling, as generate_dataset does for pool workers
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(dag, protocol))
+        assert "W" in vars(clone)  # travels with the dag; not solved again
+        for name in ("A", "sigma", "W"):
+            array = getattr(clone, name)
+            assert np.array_equal(array, getattr(dag, name))
+            assert not array.flags.writeable
