@@ -45,7 +45,6 @@ from .archgraph import (
     build_structural_graph,
     load_architecture,
 )
-from .regression import FittedModel, fit_ols, predict_rows
 from .scoring import (
     ABNORMAL_THRESHOLD,
     SCORER_NAMES,

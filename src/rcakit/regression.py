@@ -3,43 +3,25 @@
 Each metric gets a least-squares model of its value given its causal
 parents (optionally plus its own lagged value).  The residual mean and
 standard deviation summarize how tightly the reference data follow the
-fitted relation; scoring standardizes test-window deviations by them.
+fitted relation; scoring standardizes deviations on new rows by them.
+Fits that share a feature count are solved together, as one stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientData
-from .model import MetricId
 
 #: Relative floor applied to residual standard deviations so that perfectly
 #: predicted or constant targets cannot produce infinite scores.
 SIGMA_FLOOR_SCALE = 1e-6
 
-
-@dataclass(frozen=True)
-class FittedModel:
-    """A fitted per-metric regression and its residual statistics."""
-
-    target: MetricId
-    features: tuple[MetricId, ...]
-    coefficients: np.ndarray
-    intercept: float
-    residual_mean: float
-    residual_std: float
-
-    def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=float)
-        coef.flags.writeable = False
-        object.__setattr__(self, "coefficients", coef)
-        if coef.shape != (len(self.features),):
-            raise ValueError("one coefficient per feature required")
-        if self.residual_std <= 0:
-            raise ValueError("residual_std must be positive (floored)")
+#: A near-singular Gram matrix "solves" to coefficients this large (or to
+#: non-finite ones); such fits take the minimum-norm solution instead.
+COEF_LIMIT = 1e12
 
 
 def sigma_floor(target_std):
@@ -48,77 +30,90 @@ def sigma_floor(target_std):
     return SIGMA_FLOOR_SCALE * np.maximum(1.0, target_std)
 
 
-def fit_ols(
-    target_values: Sequence[float],
-    feature_matrix,
-    target: MetricId = "",
-    features: Optional[Sequence[MetricId]] = None,
-) -> FittedModel:
-    """Fit ordinary least squares with an intercept.
+class Centred(NamedTuple):
+    """Reference and new rows, centred on the reference column means.
 
-    The solver works on mean-centered data via the normal equations; a
-    singular system falls back to the minimum-norm solution.  Residual
-    statistics use the population standard deviation, floored so a
-    perfect fit still yields a usable scale.
+    ``rows[c]`` holds column c: its ``n_ref`` reference values followed by
+    its new values, each minus the column's reference mean ``mean[c]``.
     """
-    y = np.asarray(target_values, dtype=float)
-    X = np.asarray(feature_matrix, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(len(y), -1) if X.size else X.reshape(len(y), 0)
-    n, p = X.shape
-    if len(y) != n:
-        raise DimensionMismatch(f"{len(y)} targets vs {n} feature rows")
-    if n < 2:
-        raise InsufficientData(f"need at least 2 rows, got {n}")
-    if features is None:
-        features = tuple(f"x{j}" for j in range(p))
-    features = tuple(features)
-    if len(features) != p:
-        raise DimensionMismatch(f"{len(features)} feature names vs {p} columns")
 
-    y_mean = y.mean()
-    if p == 0:
-        coef = np.empty(0)
-        intercept = y_mean
-        residuals = y - y_mean
-    else:
-        x_mean = X.mean(axis=0)
-        Xc = X - x_mean
-        yc = y - y_mean
-        gram = Xc.T @ Xc
-        rhs = Xc.T @ yc
-        coef = None
-        try:
-            candidate = np.linalg.solve(gram, rhs)
-            # A near-singular Gram matrix "solves" to astronomically large
-            # coefficients; route those to the minimum-norm path instead.
-            if np.isfinite(candidate).all() and np.abs(candidate).max() < 1e12:
-                coef = candidate
-        except np.linalg.LinAlgError:
-            pass
-        if coef is None:
-            coef, *_ = np.linalg.lstsq(Xc, yc, rcond=1e-9)
-        intercept = y_mean - float(coef @ x_mean)
-        residuals = y - (X @ coef + intercept)
-
-    mu = float(residuals.mean())
-    sigma = float(residuals.std())  # population std
-    sigma = max(sigma, sigma_floor(float(y.std())))
-    return FittedModel(
-        target=target,
-        features=features,
-        coefficients=coef,
-        intercept=float(intercept),
-        residual_mean=mu,
-        residual_std=sigma,
-    )
+    mean: np.ndarray
+    rows: np.ndarray
+    n_ref: int
 
 
-def predict_rows(model: FittedModel, feature_rows: np.ndarray) -> np.ndarray:
-    """Evaluate the fitted relation on each row of a (rows, features) matrix."""
-    rows = np.asarray(feature_rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(model.features):
-        raise DimensionMismatch(
-            f"model expects (*, {len(model.features)}) rows, got {rows.shape}"
-        )
-    return rows @ model.coefficients + model.intercept
+class GroupFit(NamedTuple):
+    """k fits that share a feature count q, as stacked arrays."""
+
+    coefficients: np.ndarray  # (k, q)
+    intercept: np.ndarray  # (k,)
+    residual_mean: np.ndarray  # (k,) over the reference rows
+    residual_std: np.ndarray  # (k,) population std, floored
+    deviation: np.ndarray  # (k, m) new value minus prediction, per new row
+
+
+def centre(ref, new) -> Centred:
+    """Centre a (n, C) reference block and (m, C) new rows on the
+    reference column means."""
+    ref = np.asarray(ref, dtype=float)
+    new = np.asarray(new, dtype=float)
+    if ref.ndim != 2 or new.ndim != 2 or ref.shape[1] != new.shape[1]:
+        raise DimensionMismatch(f"reference {ref.shape} and new rows {new.shape} differ in columns")
+    if len(ref) < 2:
+        raise InsufficientData(f"need at least 2 reference rows, got {len(ref)}")
+    # One contiguous row per column: pairwise-summed means, as for a single
+    # series, so the centred designs equal a per-node fit's bit for bit.
+    rows = np.ascontiguousarray(np.concatenate([ref, new]).T)
+    mean = rows[:, :len(ref)].mean(axis=1)
+    rows -= mean[:, None]
+    return Centred(mean, rows, len(ref))
+
+
+def fit_group(data: Centred, targets, features) -> GroupFit:
+    """Fit column ``targets[i]`` on columns ``features[i]`` for each member i.
+
+    ``features`` is a (k, q) index array: every member has q features.  The
+    normal equations of all members are solved in one stacked call; a
+    member whose coefficients come out non-finite or at least
+    ``COEF_LIMIT`` in magnitude takes the minimum-norm ``lstsq`` solution.
+    Residual statistics use the population standard deviation of the
+    explicit reference residuals, floored so a perfect fit still yields a
+    usable scale.
+    """
+    targets = np.asarray(targets, dtype=np.intp)
+    features = np.asarray(features, dtype=np.intp)
+    if features.ndim != 2 or len(features) != len(targets):
+        raise DimensionMismatch(f"need a ({len(targets)}, q) feature array, got {features.shape}")
+    n = data.n_ref
+    y = data.rows[targets]  # (k, n + m)
+    X = data.rows[features]  # (k, q, n + m)
+    coef = _solve(X[:, :, :n], y[:, :n])
+    residuals = y - np.einsum("kqr,kq->kr", X, coef)
+    ref_residuals = residuals[:, :n]
+    sigma = np.maximum(ref_residuals.std(axis=1), sigma_floor(y[:, :n].std(axis=1)))
+    intercept = data.mean[targets] - np.einsum("kq,kq->k", coef, data.mean[features])
+    return GroupFit(coef, intercept, ref_residuals.mean(axis=1), sigma, residuals[:, n:])
+
+
+def _solve(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of each centred target y[i] on the centred design X[i].T."""
+    k, q, _ = X.shape
+    if q == 0:
+        return np.zeros((k, 0))
+    gram = X @ X.transpose(0, 2, 1)
+    rhs = X @ y[:, :, None]
+    try:
+        coef = np.linalg.solve(gram, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        # One exactly singular Gram fails the whole stack: solve the members
+        # one by one, so that it cannot move its neighbours.  NaN marks a
+        # member that stays singular, for lstsq below.
+        coef = np.full((k, q), np.nan)
+        for i in range(k):
+            try:
+                coef[i] = np.linalg.solve(gram[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    for i in np.flatnonzero(~(np.abs(coef) < COEF_LIMIT).all(axis=1)):
+        coef[i] = np.linalg.lstsq(X[i].T, y[i], rcond=1e-9)[0]
+    return coef

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MissingSeries
 from .model import Case, CausalGraph, GroundTruth, MetricId, Ranking, window_index_ranges
-from .regression import fit_ols, predict_rows, sigma_floor
+from .regression import centre, fit_group, sigma_floor
 
 #: Scores at or above this many sigmas count as abnormal (the three-sigma
 #: rule of thumb).  Configurable wherever it is consumed.
@@ -80,37 +80,38 @@ def rht_score(
     own one-step-lagged value when ``use_lagged_self``) is fitted on the
     reference window.  Every test sample is scored as
     ``|(value - prediction - residual_mean)| / residual_std`` and the
-    metric's score is the maximum over the test window.
+    metric's score is the maximum over the test window.  Nodes with the
+    same number of features are fitted together as one group.
     """
     _require_series(case, graph.nodes)
     col = {m: j for j, m in enumerate(case.metrics)}
     full = case.values
     ref_idx, test_idx = window_index_ranges(case)
-    ref = full[ref_idx.start:ref_idx.stop]
+    lo, hi = ref_idx.start, ref_idx.stop
     test = full[test_idx.start:test_idx.stop]
-    test_rows = np.arange(test_idx.start, test_idx.stop)
+    nodes = sorted(graph.nodes)
+    targets = [col[node] for node in nodes]
+    features = [[col[p] for p in graph.parents(node)] for node in nodes]
+    if use_lagged_self:
+        # The lagged value of the first reference sample is unknown, so that
+        # row drops out of training.  Lagged columns follow the case's own.
+        lag = full.shape[1]
+        data = centre(np.hstack([full[lo + 1:hi], full[lo:hi - 1]]),
+                      np.hstack([test, full[test_idx.start - 1:test_idx.stop - 1]]))
+        features = [f + [lag + j] for f, j in zip(features, targets)]
+    else:
+        data = centre(full[lo:hi], test)
 
-    scores: dict[MetricId, float] = {}
-    for node in sorted(graph.nodes):
-        parents = graph.parents(node)
-        pcols = [col[p] for p in parents]
-        y = ref[:, col[node]]
-        X = ref[:, pcols]
-        names = parents
-        if use_lagged_self:
-            # The lagged value of the first reference sample is unknown, so
-            # that row drops out of training.
-            X = np.column_stack([X[1:], ref[:-1, col[node]]])
-            y = y[1:]
-            names = parents + (node,)
-        model = fit_ols(y, X, target=node, features=names)
-        X_test = test[:, pcols]
-        if use_lagged_self:
-            X_test = np.column_stack([X_test, full[test_rows - 1, col[node]]])
-        deviation = test[:, col[node]] - predict_rows(model, X_test)
-        a = np.abs((deviation - model.residual_mean) / model.residual_std)
-        scores[node] = float(a.max())
-    return scores
+    groups: dict[int, list[int]] = {}
+    for i, f in enumerate(features):
+        groups.setdefault(len(f), []).append(i)
+    scores = np.empty(len(nodes))
+    for members in groups.values():
+        fit = fit_group(data, [targets[i] for i in members],
+                        np.array([features[i] for i in members], dtype=np.intp))
+        scores[members] = (np.abs(fit.deviation - fit.residual_mean[:, None]).max(axis=1)
+                           / fit.residual_std)
+    return dict(zip(nodes, scores.tolist()))
 
 
 def nsigma_score(case: Case) -> dict[MetricId, float]:
@@ -134,25 +135,25 @@ def descendant_adjust(
 ) -> dict[MetricId, float]:
     """Boost abnormal metrics by the largest score among their effects.
 
-    Walking children before parents, each node collects its children's
-    scores; children below the threshold pass their own collected set
-    upward as well.  A node at or above the threshold gains the maximum
-    of its collected set (zero when it has none); others keep their
-    score unchanged.
+    Walking children before parents, each node carries the maximum of its
+    children's scores and of what each child below the threshold carries
+    (nothing for a leaf).  A node at or above the threshold gains what it
+    carries (zero when nothing); others keep their score unchanged.
     """
-    collected: dict[MetricId, set[float]] = {}
+    carried: dict[MetricId, Optional[float]] = {}
     for node in reversed(graph.topological_order()):
-        bag: set[float] = set()
+        best = None
         for child in graph.children(node):
-            bag.add(scores[child])
-            if scores[child] < threshold:
-                bag |= collected[child]
-        collected[node] = bag
+            reach = scores[child]
+            if reach < threshold and carried[child] is not None:
+                reach = max(reach, carried[child])
+            best = reach if best is None else max(best, reach)
+        carried[node] = best
     adjusted: dict[MetricId, float] = {}
     for node in graph.topological_order():
         score = scores[node]
-        if score >= threshold:
-            score = score + (max(collected[node]) if collected[node] else 0.0)
+        if score >= threshold and carried[node] is not None:
+            score = score + carried[node]
         adjusted[node] = score
     return adjusted
 

@@ -183,6 +183,41 @@ def test_adjust_properties(rng):
         assert below == sorted(below, key=lambda m: adjusted[m])
 
 
+def set_based_adjust(scores, graph, threshold=3.0):
+    """The former descendant_adjust: every node collects the set of all
+    scores it can reach, and reads only that set's maximum."""
+    collected = {}
+    for node in reversed(graph.topological_order()):
+        bag = set()
+        for child in graph.children(node):
+            bag.add(scores[child])
+            if scores[child] < threshold:
+                bag |= collected[child]
+        collected[node] = bag
+    adjusted = {}
+    for node in graph.topological_order():
+        score = scores[node]
+        if score >= threshold:
+            score = score + (max(collected[node]) if collected[node] else 0.0)
+        adjusted[node] = score
+    return adjusted
+
+
+def test_adjust_equals_set_based_version(rng):
+    for trial in range(300):
+        graph, scores = random_dagscores(rng, n_nodes=int(rng.integers(1, 14)),
+                                         edge_prob=float(rng.uniform(0.1, 0.6)))
+        if trial % 2:
+            scores = {m: float(round(s)) for m, s in scores.items()}  # ties
+        values = sorted(set(scores.values()))
+        thresholds = {3.0, 0.0, np.inf}
+        for v in values:
+            thresholds |= {v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)}
+        for threshold in sorted(thresholds):
+            assert (descendant_adjust(scores, graph, threshold)
+                    == set_based_adjust(scores, graph, threshold))
+
+
 # --- dfs baseline -----------------------------------------------------------
 
 def test_dfs_single_abnormal_path():
