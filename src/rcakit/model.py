@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import json
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -314,12 +315,13 @@ def save_case(directory, case: Case, truth: Optional[GroundTruth] = None,
     """Write a case directory: data.csv plus case.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    # Only the header needs csv's quoting; the body joins repr()s directly.
+    header = io.StringIO()
+    csv.writer(header).writerow(["timestamp", *case.metrics])
     start, interval = case.start_time, case.interval
-    with open(directory / "data.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", *case.metrics])
-        for i, row in enumerate(case.values.tolist()):
-            writer.writerow([start + i * interval, *map(repr, row)])
+    body = "".join(f"{start + i * interval},{','.join(map(repr, row))}\r\n"
+                   for i, row in enumerate(case.values.tolist()))
+    (directory / "data.csv").write_text(header.getvalue() + body, encoding="utf-8", newline="")
     meta = {
         "detect_time": case.detect_time,
         "t_ref": case.t_ref,
@@ -339,8 +341,10 @@ def save_case(directory, case: Case, truth: Optional[GroundTruth] = None,
 def load_case(directory) -> LoadedCase:
     """Read a case directory written by save_case.
 
-    The metric columns of data.csv may come in any order.  Raises
-    MalformedInput for files that do not describe a valid case.
+    The metric columns of data.csv may come in any order.  The header row
+    is CSV, so metric names may be quoted; each data row is an integer
+    timestamp and unquoted decimal numbers.  Raises MalformedInput for
+    files that do not describe a valid case.
     """
     directory = Path(directory)
     try:
@@ -350,16 +354,18 @@ def load_case(directory) -> LoadedCase:
         with open(directory / "data.csv", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            rows = list(reader)
+            lines = fh.readlines()
         if header[:1] != ["timestamp"]:
             raise ValueError("the first column of data.csv must be 'timestamp'")
-        for line, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"data.csv line {line} has {len(row)} fields, "
-                                 f"the header {len(header)}")
-        if len(rows) < 2:
+        # loadtxt would skip blank rows silently, so refuse them here.
+        for line, text in enumerate(lines, start=reader.line_num + 1):
+            if not text.strip():
+                raise ValueError(f"data.csv line {line} is blank")
+        if len(lines) < 2:
             raise ValueError("data.csv needs at least two samples")
-        timestamps = [int(row[0]) for row in rows]
+        # comments=None: a '#' row is an error, not a comment to drop.
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        timestamps = [int(text.split(",", 1)[0]) for text in lines]
         steps = set(np.diff(timestamps).tolist())
         if len(steps) != 1:
             raise ValueError("data.csv timestamps are not evenly spaced")
@@ -368,7 +374,7 @@ def load_case(directory) -> LoadedCase:
             raise ValueError("root_causes must be a list of metric ids")
         case = Case(
             metrics=header[1:],
-            values=np.array([[float(v) for v in row[1:]] for row in rows]),
+            values=table[:, 1:],
             start_time=timestamps[0],
             interval=steps.pop(),
             detect_time=int(meta["detect_time"]),
@@ -380,6 +386,6 @@ def load_case(directory) -> LoadedCase:
         truth = GroundTruth(frozenset(roots)) if roots else None
     except KeyError as exc:
         raise MalformedInput(f"{directory}/case.json: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, csv.Error) as exc:
         raise MalformedInput(f"{directory}: {exc}") from exc
     return LoadedCase(case=case, truth=truth, fault_type=meta.get("fault_type"))

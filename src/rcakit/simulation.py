@@ -33,8 +33,10 @@ from .model import (
     LoadedCase,
     MetricId,
     load_case,
+    load_graph,
     restore_read_only,
     save_case,
+    save_graph,
 )
 
 DEFAULT_BETA = 0.1
@@ -452,7 +454,8 @@ def require_empty_dir(out_dir) -> None:
 def save_dataset(dataset: SimulatedDataset, out_dir) -> None:
     """Write the on-disk layout: manifest.json, per-graph graph.json, cases.
 
-    ``out_dir`` must be absent or empty.
+    ``out_dir`` must be absent or empty.  graph.json holds the topology
+    only; generate_dataset on the manifest's recipe redraws the weights.
     """
     out_dir = Path(out_dir)
     require_empty_dir(out_dir)
@@ -463,54 +466,41 @@ def save_dataset(dataset: SimulatedDataset, out_dir) -> None:
     for record in dataset.graphs:
         graph_dir = out_dir / record.graph_id
         graph_dir.mkdir(exist_ok=True)
-        payload = record.graph.to_json()
-        if record.dag is not None:
-            payload["A"] = [[float(v) for v in row] for row in record.dag.A]
-            payload["sigma"] = [float(v) for v in record.dag.sigma]
-            payload["beta"] = float(record.dag.beta)
-        with open(graph_dir / "graph.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_graph(record.graph, graph_dir / "graph.json")
         for entry in record.cases:
             save_case(graph_dir / entry.case_id, entry.case, entry.truth, entry.fault_type)
 
 
 def load_dataset(directory) -> SimulatedDataset:
-    """Read a dataset directory written by save_dataset."""
+    """Read a dataset directory written by save_dataset.
+
+    Graphs load as topology only, ``dag`` None; weights that older
+    graph.json files carry are ignored.
+    """
     directory = Path(directory)
-    params = {}
     manifest = directory / "manifest.json"
-    if manifest.exists():
-        params = json.loads(manifest.read_text())
+    try:
+        params = json.loads(manifest.read_text(encoding="utf-8")) if manifest.exists() else {}
+        if not isinstance(params, dict):
+            raise ValueError("must hold a JSON object")
+    except ValueError as exc:
+        raise MalformedInput(f"{manifest}: {exc}") from exc
     graphs = []
     for graph_dir in sorted(p for p in directory.iterdir() if p.is_dir()):
         graph_file = graph_dir / "graph.json"
         if not graph_file.exists():
             continue
-        try:
-            payload = json.loads(graph_file.read_text(encoding="utf-8"))
-            graph = CausalGraph.from_json(payload)
-            dag = None
-            if "A" in payload:
-                dag = WeightedDag(
-                    A=np.array(payload["A"], dtype=float),
-                    sigma=np.array(payload["sigma"], dtype=float),
-                    beta=float(payload.get("beta", DEFAULT_BETA)),
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"{graph_file}: {exc}") from exc
+        graph = load_graph(graph_file)
         records = []
         for case_dir in sorted(p for p in graph_dir.iterdir() if p.is_dir()):
             loaded: LoadedCase = load_case(case_dir)
             if loaded.truth is None:
-                raise ValueError(f"{case_dir}: dataset cases must carry root_causes")
+                raise MalformedInput(f"{case_dir}/case.json: dataset cases must carry root_causes")
             records.append(CaseRecord(
                 case_id=case_dir.name,
                 case=loaded.case,
                 truth=loaded.truth,
                 fault_type=loaded.fault_type,
             ))
-        graphs.append(GraphRecord(
-            graph_id=graph_dir.name, graph=graph, cases=tuple(records), dag=dag,
-        ))
+        graphs.append(GraphRecord(graph_id=graph_dir.name, graph=graph, cases=tuple(records)))
     return SimulatedDataset(graphs=tuple(graphs), params=params)

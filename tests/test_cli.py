@@ -5,6 +5,7 @@ import pytest
 from rcakit.cli import main
 from rcakit.errors import MalformedInput
 from rcakit.model import load_case
+from rcakit.simulation import load_dataset
 
 WEB_DB_YAML = """\
 services:
@@ -226,6 +227,7 @@ def test_config_file_precedence(dataset_dir, tmp_path, capsys):
 
 
 GOOD_META = '{"detect_time": 2, "t_ref": 2, "t_delay": 0, "t_test": 1, "sli": "a"}'
+GOOD_META_ROOTS = GOOD_META[:-1] + ', "root_causes": ["b"]}'
 GOOD_CSV = "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"
 
 
@@ -236,8 +238,19 @@ GOOD_CSV = "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"
     ('{"sli": "a"}', GOOD_CSV),                                           # no detect_time
     ('{"detect_time": 2, "t_ref": 2, "t_delay": 0, "t_test": 1}', GOOD_CSV),  # no sli
     (GOOD_META, "timestamp,a,a\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"),   # duplicate column
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n#1,2.0,3.0\n2,3.0,5.0\n"),  # not a comment
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n  \n1,2.0,3.0\n2,3.0,5.0\n"),  # whitespace row
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0#x\n2,3.0,5.0\n"),  # nor a tail comment
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1.5,2.0,3.0\n2,3.0,5.0\n"),  # fractional time
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0,\n2,3.0,5.0\n"),  # trailing comma
+    (GOOD_META, "timestamp,a,b\n0,1.0\n1,2.0,3.0\n2,3.0,5.0\n"),      # short first row
+    (GOOD_META, "timestamp,a,b\n0,1.0\n1,2.0\n2,3.0\n"),              # every row short
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,1_0,3.0\n2,3.0,5.0\n"),  # Python-only syntax
+    (GOOD_META, 'timestamp,"a,b\n' + "0,1.0,2.0\n" * 15000),            # quote never closed
 ], ids=["blank-row", "ragged-row", "json-not-object", "no-detect-time", "no-sli",
-        "duplicate-column"])
+        "duplicate-column", "comment-row", "whitespace-row", "hash-in-row",
+        "fractional-timestamp", "trailing-comma", "short-first-row", "short-rows",
+        "underscore-number", "unclosed-quote"])
 def test_analyze_malformed_case_is_an_error(tmp_path, capsys, meta, data):
     case_dir = tmp_path / "case"
     case_dir.mkdir()
@@ -257,6 +270,19 @@ def test_analyze_well_formed_case_control(tmp_path):
     case_dir.mkdir()
     (case_dir / "case.json").write_text(GOOD_META)
     (case_dir / "data.csv").write_text(GOOD_CSV)
+    assert main(["analyze", str(case_dir), "--scorer", "nsigma",
+                 "--out", str(tmp_path / "scores.json")]) == 0
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_analyze_reads_lf_and_crlf_case_control(tmp_path, newline):
+    case_dir = tmp_path / "case"
+    case_dir.mkdir()
+    (case_dir / "case.json").write_text(GOOD_META)
+    (case_dir / "data.csv").write_bytes(GOOD_CSV.replace("\n", newline).encode())
+    case = load_case(case_dir).case
+    assert case.values.tolist() == [[1.0, 2.0], [2.0, 3.0], [3.0, 5.0]]
+    assert (case.start_time, case.interval) == (0, 1)
     assert main(["analyze", str(case_dir), "--scorer", "nsigma",
                  "--out", str(tmp_path / "scores.json")]) == 0
 
@@ -281,6 +307,37 @@ def test_analyze_malformed_graph_is_an_error(tmp_path, capsys, graph):
     assert main(["analyze", str(case_dir), "--graph", str(tmp_path / "graph.json"),
                  "--scorer", "rht", "--out", str(tmp_path / "scores.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def write_one_case_dataset(root, manifest, meta):
+    case_dir = root / "g0" / "c0"
+    case_dir.mkdir(parents=True)
+    (case_dir / "case.json").write_text(meta)
+    (case_dir / "data.csv").write_text(GOOD_CSV)
+    (root / "g0" / "graph.json").write_text('{"nodes": ["a", "b"], "edges": []}')
+    (root / "manifest.json").write_text(manifest)
+
+
+@pytest.mark.parametrize("manifest, meta, culprit", [
+    ("[1]", GOOD_META_ROOTS, "manifest.json"),
+    ("{not json", GOOD_META_ROOTS, "manifest.json"),
+    ('{"seed": 1}', GOOD_META, "c0/case.json"),
+], ids=["manifest-not-object", "manifest-not-json", "no-root-causes"])
+def test_evaluate_malformed_dataset_names_the_file(tmp_path, capsys, manifest, meta, culprit):
+    write_one_case_dataset(tmp_path / "ds", manifest, meta)
+    with pytest.raises(MalformedInput, match=culprit):
+        load_dataset(tmp_path / "ds")
+    assert main(["evaluate", str(tmp_path / "ds"), "--scorers", "nsigma", "--jobs", "1",
+                 "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and culprit in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_evaluate_well_formed_dataset_control(tmp_path):
+    write_one_case_dataset(tmp_path / "ds", '{"seed": 1}', GOOD_META_ROOTS)
+    assert main(["evaluate", str(tmp_path / "ds"), "--scorers", "nsigma", "--jobs", "1",
+                 "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_evaluate_malformed_dataset_graph_is_an_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rcakit.errors import WindowOutOfRange
+from rcakit.errors import MalformedInput, WindowOutOfRange
 from rcakit.model import (
     Case,
     CausalGraph,
@@ -22,6 +22,7 @@ from rcakit.model import (
     window_index_ranges,
 )
 
+import csv_reference
 from conftest import lexicographic_networkx_order, make_case
 
 
@@ -184,6 +185,18 @@ def test_load_rejects_missing_values(tmp_path):
         load_case(d)
 
 
+@pytest.mark.parametrize("header, line", [("timestamp,a", 3), ('timestamp,"a\nb"', 4)],
+                         ids=["one-line-header", "two-line-header"])
+@pytest.mark.parametrize("blank", ["", "  ", "\r"], ids=["empty", "spaces", "carriage-return"])
+def test_load_names_the_blank_row(tmp_path, header, line, blank):
+    d = tmp_path / "c"
+    d.mkdir()
+    (d / "case.json").write_text('{"detect_time": 2, "t_ref": 2, "t_delay": 0, "t_test": 1, "sli": "a"}')
+    (d / "data.csv").write_text(f"{header}\n0,1.0\n{blank}\n1,2.0\n2,3.0\n")
+    with pytest.raises(MalformedInput, match=f"data.csv line {line} is blank"):
+        load_case(d)
+
+
 def test_load_case_sorts_permuted_columns(tmp_path):
     d = tmp_path / "c"
     d.mkdir()
@@ -233,6 +246,22 @@ def test_save_load_roundtrip_property(drawn):
         loaded = load_case(directory).case
     assert loaded == case
     assert (loaded.values.view(np.uint64) == case.values.view(np.uint64)).all()  # -0.0 too
+
+
+@settings(deadline=None)
+@given(saved_cases())
+def test_case_csv_matches_row_by_row_reference(drawn):
+    case, _ = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        directory, expected = Path(tmp) / "case", Path(tmp) / "reference.csv"
+        save_case(directory, case)
+        csv_reference.write_data_csv(expected, case)
+        assert (directory / "data.csv").read_bytes() == expected.read_bytes()
+        names, timestamps, values = csv_reference.read_data_csv(expected)
+        loaded = load_case(directory).case
+    assert list(loaded.metrics) == names
+    assert [loaded.start_time + i * loaded.interval for i in range(loaded.length)] == timestamps
+    assert (loaded.values.view(np.uint64) == values.view(np.uint64)).all()
 
 
 def test_topological_order_matches_networkx():

@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from rcakit import simulation
 from rcakit.errors import EdgeBudgetInfeasible, OutputNotEmpty
-from rcakit.model import window_index_ranges
+from rcakit.model import save_graph, window_index_ranges
 from rcakit.scoring import SCORER_NAMES, run_scorer
 from rcakit.simulation import (
     FaultType,
@@ -249,21 +250,50 @@ def test_generate_dataset_parallel_matches_serial():
         assert ca.truth == cb.truth
 
 
+def manifest_rebuild(params):
+    """generate_dataset called with the recipe a manifest.json records."""
+    kwargs = dict(params, rng_seed=params["seed"])
+    del kwargs["seed"]
+    assert kwargs.pop("beta") == simulation.DEFAULT_BETA
+    return generate_dataset(**kwargs)
+
+
 def test_dataset_disk_roundtrip(tmp_path):
     ds = generate_dataset(8, 15, n_graphs=2, cases_per_graph=3, rng_seed=11)
     save_dataset(ds, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds")
     assert loaded.params == ds.params
     assert len(loaded.graphs) == 2
-    for ga, gb in zip(ds.graphs, loaded.graphs):
+    rebuilt = manifest_rebuild(loaded.params)
+    for ga, gb, gr in zip(ds.graphs, loaded.graphs, rebuilt.graphs):
         assert ga.graph_id == gb.graph_id
         assert ga.graph == gb.graph
-        assert np.allclose(ga.dag.A, gb.dag.A)
-        assert np.allclose(ga.dag.sigma, gb.dag.sigma)
+        # graph.json holds the topology only, in save_graph's bytes
+        assert gb.dag is None
+        save_graph(ga.graph, tmp_path / "expected.json")
+        assert ((tmp_path / "ds" / ga.graph_id / "graph.json").read_bytes()
+                == (tmp_path / "expected.json").read_bytes())
+        # the weights are not lost: the manifest's recipe redraws them exactly
+        assert np.array_equal(gr.dag.A, ga.dag.A)
+        assert np.array_equal(gr.dag.sigma, ga.dag.sigma)
         for ca, cb in zip(ga.cases, gb.cases):
             assert ca.case == cb.case
             assert ca.truth == cb.truth
             assert ca.fault_type == cb.fault_type
+
+
+def test_load_dataset_reads_graph_json_with_weights(tmp_path):
+    ds = generate_dataset(8, 15, n_graphs=1, cases_per_graph=2, rng_seed=4)
+    save_dataset(ds, tmp_path / "ds")
+    record = ds.graphs[0]
+    # the layout older versions wrote: the topology plus A, sigma and beta
+    payload = dict(record.graph.to_json(), A=record.dag.A.tolist(),
+                   sigma=record.dag.sigma.tolist(), beta=record.dag.beta)
+    (tmp_path / "ds" / "g0" / "graph.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    loaded = load_dataset(tmp_path / "ds").graphs[0]
+    assert loaded.graph == record.graph
+    assert loaded.dag is None
+    assert [c.case for c in loaded.cases] == [c.case for c in record.cases]
 
 
 def test_save_dataset_refuses_non_empty_dir(tmp_path):
