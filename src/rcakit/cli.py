@@ -148,9 +148,15 @@ def _override_windows(case: Case, overrides: dict) -> Case:
     return replace(case, **overrides) if overrides else case
 
 
+def _jobs(args, config) -> int:
+    """Worker processes: --jobs, the config's jobs, else one per CPU."""
+    return int(_setting(args, config, "jobs", 0) or 0) or (os.cpu_count() or 1)
+
+
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     t_ref, t_delay, t_test = _windows(args, config)
+    jobs = _jobs(args, config)
     simulation.require_empty_dir(args.out)  # before the work, not after it
     dataset = simulation.generate_dataset(
         n_node=args.nodes,
@@ -162,9 +168,9 @@ def cmd_simulate(args) -> int:
         t_delay=t_delay,
         t_test=t_test,
         poisson_rate=float(_setting(args, config, "poisson_rate", simulation.DEFAULT_POISSON_RATE)),
-        jobs=int(_setting(args, config, "jobs", 0) or 0) or (os.cpu_count() or 1),
+        jobs=jobs,
     )
-    simulation.save_dataset(dataset, args.out)
+    simulation.save_dataset(dataset, args.out, jobs=jobs)
     print(f"wrote {len(dataset.graphs)} graphs x "
           f"{dataset.params['cases_per_graph']} cases to {args.out}")
     return 0
@@ -216,7 +222,8 @@ def cmd_evaluate(args) -> int:
     methods = _setting(args, config, "scorers", None) or ["rht-pg", "rht", "nsigma", "dfs", "ideal"]
     if isinstance(methods, str):
         methods = _scorer_list(methods)
-    dataset = simulation.load_dataset(args.dataset_dir)
+    jobs = _jobs(args, config)
+    dataset = simulation.load_dataset(args.dataset_dir, jobs=jobs)
     overrides = _window_overrides(args, config)
     if overrides:
         dataset = replace(dataset, graphs=tuple(
@@ -231,7 +238,7 @@ def cmd_evaluate(args) -> int:
         methods,
         k_max=int(_setting(args, config, "k", evaluation.DEFAULT_K)),
         threshold=float(_setting(args, config, "threshold", scoring.ABNORMAL_THRESHOLD)),
-        jobs=int(_setting(args, config, "jobs", 0) or 0) or (os.cpu_count() or 1),
+        jobs=jobs,
     )
     out = _setting(args, config, "out", None) or str(Path(args.dataset_dir) / "report.json")
     evaluation.save_report(report, out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import EmptyCaseSet, RcakitError
 from .model import GroundTruth, Ranking
 from .scoring import ABNORMAL_THRESHOLD, run_scorer
-from .simulation import SimulatedDataset
+from .simulation import SimulatedDataset, _pool_map
 
 DEFAULT_K = 5
 
@@ -93,15 +92,18 @@ class EvalReport:
         }
 
 
-def _score_one(task) -> tuple[str, str, Optional[list], float, Optional[str]]:
-    method, graph_id, case_id, case, graph, truth, threshold = task
-    start = time.perf_counter()
-    try:
-        _, ranking = run_scorer(method, case, graph, truth, threshold=threshold)
-        elapsed = time.perf_counter() - start
-        return graph_id, case_id, ranking, elapsed, None
-    except (RcakitError, ValueError) as exc:
-        return graph_id, case_id, None, 0.0, f"{type(exc).__name__}: {exc}"
+def _score_case(task) -> list[tuple[Optional[Ranking], float, Optional[str]]]:
+    """Every method on one case, in order: (ranking, seconds, error) each."""
+    case, graph, truth, methods, threshold = task
+    outcomes = []
+    for method in methods:
+        start = time.perf_counter()
+        try:
+            _, ranking = run_scorer(method, case, graph, truth, threshold=threshold)
+            outcomes.append((ranking, time.perf_counter() - start, None))
+        except (RcakitError, ValueError) as exc:
+            outcomes.append((None, 0.0, f"{type(exc).__name__}: {exc}"))
+    return outcomes
 
 
 def evaluate(
@@ -115,75 +117,63 @@ def evaluate(
 
     Per-case failures are recorded and excluded from the averages rather
     than aborting the batch.  ``jobs`` > 1 scores cases on a process
-    pool; per-case timing is taken on the worker that runs the case.
+    pool, one task per case running every method; per-case timing is
+    taken on the worker that runs the case.
     """
     if not dataset.graphs:
         raise EmptyCaseSet("dataset has no graphs")
     ks = range(1, k_max + 1)
+    # canonical order, so aggregation is invariant to case order
+    cases = sorted(((g, c) for g in dataset.graphs for c in g.cases),
+                   key=lambda gc: (gc[0].graph_id, gc[1].case_id))
+    outcomes = _pool_map(
+        _score_case, [(c.case, g.graph, c.truth, tuple(methods), threshold) for g, c in cases],
+        jobs,
+    )
     results: dict[str, MethodResult] = {}
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        for method in methods:
-            tasks = [
-                (method, g.graph_id, c.case_id, c.case, g.graph, c.truth, threshold)
-                for g in dataset.graphs
-                for c in g.cases
-            ]
-            if pool is not None:
-                outcomes = list(pool.map(_score_one, tasks, chunksize=8))
-            else:
-                outcomes = [_score_one(t) for t in tasks]
-            # canonical order, so aggregation is invariant to case order
-            outcomes.sort(key=lambda o: (o[0], o[1]))
+    for m, method in enumerate(methods):
+        per_graph_recalls: dict[str, list[np.ndarray]] = {g.graph_id: [] for g in dataset.graphs}
+        per_type: dict[str, list[np.ndarray]] = {}
+        times: list[float] = []
+        failures: list[tuple[str, str, str]] = []
+        for (graph, record), case_outcomes in zip(cases, outcomes):
+            ranking, elapsed, error = case_outcomes[m]
+            if error is not None:
+                failures.append((graph.graph_id, record.case_id, error))
+                continue
+            recalls = np.array([case_recall_at_k(ranking, record.truth, k) for k in ks])
+            per_graph_recalls[graph.graph_id].append(recalls)
+            if record.fault_type:
+                per_type.setdefault(record.fault_type, []).append(recalls)
+            times.append(elapsed)
 
-            truth_of = {
-                (g.graph_id, c.case_id): c for g in dataset.graphs for c in g.cases
-            }
-            per_graph_recalls: dict[str, list[np.ndarray]] = {g.graph_id: [] for g in dataset.graphs}
-            per_type: dict[str, list[np.ndarray]] = {}
-            times: list[float] = []
-            failures: list[tuple[str, str, str]] = []
-            for graph_id, case_id, ranking, elapsed, error in outcomes:
-                record = truth_of[(graph_id, case_id)]
-                if error is not None:
-                    failures.append((graph_id, case_id, error))
-                    continue
-                recalls = np.array([case_recall_at_k(ranking, record.truth, k) for k in ks])
-                per_graph_recalls[graph_id].append(recalls)
-                if record.fault_type:
-                    per_type.setdefault(record.fault_type, []).append(recalls)
-                times.append(elapsed)
-
-            graph_ac = {
-                gid: tuple(np.mean(rows, axis=0)) if rows else tuple([float("nan")] * k_max)
-                for gid, rows in per_graph_recalls.items()
-            }
-            stacked = np.array([v for v in graph_ac.values() if not np.isnan(v).any()])
-            if stacked.size == 0:
-                raise EmptyCaseSet(f"method {method!r} produced no successful cases")
-            ac_mean = stacked.mean(axis=0)
-            ac_std = stacked.std(axis=0)
-            results[method] = MethodResult(
-                method=method,
-                ac_mean=tuple(float(v) for v in ac_mean),
-                ac_std=tuple(float(v) for v in ac_std),
-                avg_at_k=float(ac_mean.mean()),
-                mean_time_s=float(np.mean(times)) if times else float("nan"),
-                per_graph={g: tuple(float(x) for x in v) for g, v in graph_ac.items()},
-                by_fault_type={
-                    ft: {
-                        "n": len(rows),
-                        "ac": [float(v) for v in np.mean(rows, axis=0)],
-                    }
-                    for ft, rows in sorted(per_type.items())
-                },
-                n_cases=len(times),
-                failures=tuple(failures),
-                note=METHOD_NOTES.get(method),
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        graph_ac = {
+            gid: tuple(np.mean(rows, axis=0)) if rows else tuple([float("nan")] * k_max)
+            for gid, rows in per_graph_recalls.items()
+        }
+        stacked = np.array([v for v in graph_ac.values() if not np.isnan(v).any()])
+        if stacked.size == 0:
+            raise EmptyCaseSet(f"method {method!r} produced no successful cases")
+        ac_mean = stacked.mean(axis=0)
+        ac_std = stacked.std(axis=0)
+        results[method] = MethodResult(
+            method=method,
+            ac_mean=tuple(float(v) for v in ac_mean),
+            ac_std=tuple(float(v) for v in ac_std),
+            avg_at_k=float(ac_mean.mean()),
+            mean_time_s=float(np.mean(times)) if times else float("nan"),
+            per_graph={g: tuple(float(x) for x in v) for g, v in graph_ac.items()},
+            by_fault_type={
+                ft: {
+                    "n": len(rows),
+                    "ac": [float(v) for v in np.mean(rows, axis=0)],
+                }
+                for ft, rows in sorted(per_type.items())
+            },
+            n_cases=len(times),
+            failures=tuple(failures),
+            note=METHOD_NOTES.get(method),
+        )
     return EvalReport(
         k_max=k_max,
         methods=results,

@@ -338,6 +338,26 @@ def save_case(directory, case: Case, truth: Optional[GroundTruth] = None,
         fh.write("\n")
 
 
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    # comments=None: a '#' row is an error, not a comment to drop.
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _first_bad_row(lines: list[str], first_line: int, n_fields: int) -> Optional[str]:
+    """Why the first bad body row fails, for a body ``_parse_rows`` rejected:
+    its field count differs from the header's, or it does not parse alone."""
+    for line, text in enumerate(lines, start=first_line):
+        fields = text.count(",") + 1
+        if fields != n_fields:
+            return f"data.csv line {line} has {fields} fields, the header {n_fields}"
+        try:
+            _parse_rows([text])
+        except ValueError as exc:
+            # numpy's own row and column count within the one line it saw
+            return f"data.csv line {line}: {str(exc).split(' at row ')[0]}"
+    return None
+
+
 def load_case(directory) -> LoadedCase:
     """Read a case directory written by save_case.
 
@@ -357,14 +377,17 @@ def load_case(directory) -> LoadedCase:
             lines = fh.readlines()
         if header[:1] != ["timestamp"]:
             raise ValueError("the first column of data.csv must be 'timestamp'")
+        first_line = reader.line_num + 1
         # loadtxt would skip blank rows silently, so refuse them here.
-        for line, text in enumerate(lines, start=reader.line_num + 1):
+        for line, text in enumerate(lines, start=first_line):
             if not text.strip():
                 raise ValueError(f"data.csv line {line} is blank")
         if len(lines) < 2:
             raise ValueError("data.csv needs at least two samples")
-        # comments=None: a '#' row is an error, not a comment to drop.
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        try:
+            table = _parse_rows(lines)
+        except ValueError as exc:
+            raise ValueError(_first_bad_row(lines, first_line, len(header)) or exc) from exc
         timestamps = [int(text.split(",", 1)[0]) for text in lines]
         steps = set(np.diff(timestamps).tolist())
         if len(steps) != 1:

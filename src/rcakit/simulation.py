@@ -17,8 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -373,6 +374,18 @@ def generate_case(dag: WeightedDag, rng_seed,
     return case, fault
 
 
+def _pool_map(fn: Callable, tasks: Sequence, jobs: Optional[int]) -> list:
+    """``[fn(t) for t in tasks]``, on ``jobs`` worker processes when ``jobs`` > 1.
+    The first task to fail, in task order, raises here; the pool shuts down either way."""
+    if not jobs or jobs <= 1:
+        return [fn(t) for t in tasks]
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        return list(pool.map(fn, tasks, chunksize=8))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _case_record(task) -> CaseRecord:
     dag, stream, case_id, t_ref, t_delay, t_test, poisson_rate = task
     case, fault = generate_case(
@@ -410,38 +423,27 @@ def generate_dataset(
     root_seq = np.random.SeedSequence(rng_seed)
     graph_width = len(str(max(n_graphs - 1, 0)))
     case_width = len(str(max(cases_per_graph - 1, 0)))
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs and jobs > 1 else None
-    graphs = []
-    try:
-        for g, graph_seq in enumerate(root_seq.spawn(n_graphs)):
-            streams = graph_seq.spawn(cases_per_graph + 1)
-            dag = generate_dag(n_node, n_edge, np.random.default_rng(streams[0]))
-            dag.W  # solve here, so pool workers receive W with the dag
-            tasks = [
-                (dag, streams[c + 1], f"c{c:0{case_width}d}",
-                 t_ref, t_delay, t_test, poisson_rate)
-                for c in range(cases_per_graph)
-            ]
-            if pool is not None:
-                records = list(pool.map(_case_record, tasks, chunksize=8))
-            else:
-                records = [_case_record(t) for t in tasks]
-            graphs.append(GraphRecord(
-                graph_id=f"g{g:0{graph_width}d}",
-                graph=dag.to_causal_graph(),
-                cases=tuple(records),
-                dag=dag,
-            ))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    dags, tasks = [], []
+    for graph_seq in root_seq.spawn(n_graphs):
+        streams = graph_seq.spawn(cases_per_graph + 1)
+        dag = generate_dag(n_node, n_edge, np.random.default_rng(streams[0]))
+        dag.W  # solve here, so pool workers receive W with the dag
+        dags.append(dag)
+        tasks += [
+            (dag, streams[c + 1], f"c{c:0{case_width}d}", t_ref, t_delay, t_test, poisson_rate)
+            for c in range(cases_per_graph)
+        ]
+    records = iter(_pool_map(_case_record, tasks, jobs))
+    graphs = tuple(GraphRecord(f"g{g:0{graph_width}d}", dag.to_causal_graph(),
+                               tuple(islice(records, cases_per_graph)), dag)
+                   for g, dag in enumerate(dags))
     params = {
         "n_node": n_node, "n_edge": n_edge, "n_graphs": n_graphs,
         "cases_per_graph": cases_per_graph, "seed": rng_seed,
         "t_ref": t_ref, "t_delay": t_delay, "t_test": t_test,
         "poisson_rate": poisson_rate, "beta": DEFAULT_BETA,
     }
-    return SimulatedDataset(graphs=tuple(graphs), params=params)
+    return SimulatedDataset(graphs=graphs, params=params)
 
 
 def require_empty_dir(out_dir) -> None:
@@ -451,11 +453,17 @@ def require_empty_dir(out_dir) -> None:
         raise OutputNotEmpty(f"{out_dir} is not empty; write the dataset to a new directory")
 
 
-def save_dataset(dataset: SimulatedDataset, out_dir) -> None:
+def _save_record(task) -> None:
+    case_dir, entry = task
+    save_case(case_dir, entry.case, entry.truth, entry.fault_type)
+
+
+def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None) -> None:
     """Write the on-disk layout: manifest.json, per-graph graph.json, cases.
 
     ``out_dir`` must be absent or empty.  graph.json holds the topology
     only; generate_dataset on the manifest's recipe redraws the weights.
+    ``jobs`` > 1 writes the cases on a process pool, to the same bytes.
     """
     out_dir = Path(out_dir)
     require_empty_dir(out_dir)
@@ -463,19 +471,28 @@ def save_dataset(dataset: SimulatedDataset, out_dir) -> None:
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(dataset.params, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    tasks = []
     for record in dataset.graphs:
         graph_dir = out_dir / record.graph_id
         graph_dir.mkdir(exist_ok=True)
         save_graph(record.graph, graph_dir / "graph.json")
-        for entry in record.cases:
-            save_case(graph_dir / entry.case_id, entry.case, entry.truth, entry.fault_type)
+        tasks += [(graph_dir / entry.case_id, entry) for entry in record.cases]
+    _pool_map(_save_record, tasks, jobs)
 
 
-def load_dataset(directory) -> SimulatedDataset:
+def _load_record(case_dir: Path) -> CaseRecord:
+    loaded: LoadedCase = load_case(case_dir)
+    if loaded.truth is None:
+        raise MalformedInput(f"{case_dir}/case.json: dataset cases must carry root_causes")
+    return CaseRecord(case_dir.name, loaded.case, loaded.truth, loaded.fault_type)
+
+
+def load_dataset(directory, jobs: Optional[int] = None) -> SimulatedDataset:
     """Read a dataset directory written by save_dataset.
 
     Graphs load as topology only, ``dag`` None; weights that older
-    graph.json files carry are ignored.
+    graph.json files carry are ignored.  ``jobs`` > 1 reads the cases on a
+    process pool, to the same result.
     """
     directory = Path(directory)
     manifest = directory / "manifest.json"
@@ -485,22 +502,13 @@ def load_dataset(directory) -> SimulatedDataset:
             raise ValueError("must hold a JSON object")
     except ValueError as exc:
         raise MalformedInput(f"{manifest}: {exc}") from exc
-    graphs = []
+    found = []
     for graph_dir in sorted(p for p in directory.iterdir() if p.is_dir()):
         graph_file = graph_dir / "graph.json"
-        if not graph_file.exists():
-            continue
-        graph = load_graph(graph_file)
-        records = []
-        for case_dir in sorted(p for p in graph_dir.iterdir() if p.is_dir()):
-            loaded: LoadedCase = load_case(case_dir)
-            if loaded.truth is None:
-                raise MalformedInput(f"{case_dir}/case.json: dataset cases must carry root_causes")
-            records.append(CaseRecord(
-                case_id=case_dir.name,
-                case=loaded.case,
-                truth=loaded.truth,
-                fault_type=loaded.fault_type,
-            ))
-        graphs.append(GraphRecord(graph_id=graph_dir.name, graph=graph, cases=tuple(records)))
-    return SimulatedDataset(graphs=tuple(graphs), params=params)
+        if graph_file.exists():
+            case_dirs = sorted(p for p in graph_dir.iterdir() if p.is_dir())
+            found.append((graph_dir.name, load_graph(graph_file), case_dirs))
+    records = iter(_pool_map(_load_record, [d for *_, dirs in found for d in dirs], jobs))
+    graphs = tuple(GraphRecord(graph_id, graph, tuple(islice(records, len(dirs))))
+                   for graph_id, graph, dirs in found)
+    return SimulatedDataset(graphs=graphs, params=params)

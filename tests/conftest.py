@@ -54,6 +54,15 @@ def random_dagscores(rng, n_nodes=8, edge_prob=0.35, score_scale=6.0):
     return graph, scores
 
 
+def read_tree_bytes(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
 def lexicographic_networkx_order(graph):
     """networkx's topological order with lexicographic tie-break: an oracle
     for ``CausalGraph.topological_order``."""

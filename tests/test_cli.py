@@ -7,6 +7,8 @@ from rcakit.errors import MalformedInput
 from rcakit.model import load_case
 from rcakit.simulation import load_dataset
 
+from conftest import read_tree_bytes
+
 WEB_DB_YAML = """\
 services:
   - name: web
@@ -20,14 +22,6 @@ metrics:
   - name: db_qps
     maps_to: [{service: db, dim: traffic}]
 """
-
-
-def read_tree_bytes(root):
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +47,18 @@ def test_simulate_rerun_is_byte_identical(dataset_dir, tmp_path):
     assert main(["simulate", "--nodes", "10", "--edges", "20", "--graphs", "2",
                  "--cases", "4", "--seed", "5", "--out", str(again)]) == 0
     assert read_tree_bytes(again) == read_tree_bytes(dataset_dir)
+
+
+def test_simulate_pooled_is_byte_identical_to_serial(tmp_path):
+    args = ["simulate", "--nodes", "10", "--edges", "20", "--graphs", "2", "--cases", "9",
+            "--seed", "5"]
+    assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "pooled")]) == 0
+    serial = read_tree_bytes(tmp_path / "serial")
+    assert {name.rsplit("/", 1)[-1] for name in serial} == {
+        "manifest.json", "graph.json", "data.csv", "case.json"}
+    assert len(serial) == 1 + 2 * (1 + 9 * 2)
+    assert read_tree_bytes(tmp_path / "pooled") == serial
 
 
 def test_simulate_infeasible_edges(tmp_path, capsys):
@@ -231,27 +237,32 @@ GOOD_META_ROOTS = GOOD_META[:-1] + ', "root_causes": ["b"]}'
 GOOD_CSV = "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"
 
 
-@pytest.mark.parametrize("meta, data", [
-    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n\n1,2.0,3.0\n2,3.0,5.0\n"),   # blank row
-    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0\n2,3.0,5.0\n"),         # ragged row
-    ("[1, 2]", GOOD_CSV),                                                 # not an object
-    ('{"sli": "a"}', GOOD_CSV),                                           # no detect_time
-    ('{"detect_time": 2, "t_ref": 2, "t_delay": 0, "t_test": 1}', GOOD_CSV),  # no sli
-    (GOOD_META, "timestamp,a,a\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"),   # duplicate column
-    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n#1,2.0,3.0\n2,3.0,5.0\n"),  # not a comment
-    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n  \n1,2.0,3.0\n2,3.0,5.0\n"),  # whitespace row
-    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0#x\n2,3.0,5.0\n"),  # nor a tail comment
-    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1.5,2.0,3.0\n2,3.0,5.0\n"),  # fractional time
-    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0,\n2,3.0,5.0\n"),  # trailing comma
-    (GOOD_META, "timestamp,a,b\n0,1.0\n1,2.0,3.0\n2,3.0,5.0\n"),      # short first row
-    (GOOD_META, "timestamp,a,b\n0,1.0\n1,2.0\n2,3.0\n"),              # every row short
-    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,1_0,3.0\n2,3.0,5.0\n"),  # Python-only syntax
-    (GOOD_META, 'timestamp,"a,b\n' + "0,1.0,2.0\n" * 15000),            # quote never closed
+@pytest.mark.parametrize("meta, data, where", [
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n\n1,2.0,3.0\n2,3.0,5.0\n", "data.csv line 3"),  # blank row
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0\n2,3.0,5.0\n", "data.csv line 3"),  # ragged row
+    ("[1, 2]", GOOD_CSV, None),                                           # not an object
+    ('{"sli": "a"}', GOOD_CSV, None),                                     # no detect_time
+    ('{"detect_time": 2, "t_ref": 2, "t_delay": 0, "t_test": 1}', GOOD_CSV, None),  # no sli
+    (GOOD_META, "timestamp,a,a\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n", None),  # duplicate column
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n#1,2.0,3.0\n2,3.0,5.0\n",
+     "data.csv line 3"),                                                  # not a comment
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n  \n1,2.0,3.0\n2,3.0,5.0\n",
+     "data.csv line 3"),                                                  # whitespace row
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0#x\n2,3.0,5.0\n",
+     "data.csv line 3"),                                                  # nor a tail comment
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1.5,2.0,3.0\n2,3.0,5.0\n", None),  # fractional time
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0,\n2,3.0,5.0\n",
+     "data.csv line 3"),                                                  # trailing comma
+    (GOOD_META, "timestamp,a,b\n0,1.0\n1,2.0,3.0\n2,3.0,5.0\n", "data.csv line 2"),  # short first row
+    (GOOD_META, "timestamp,a,b\n0,1.0\n1,2.0\n2,3.0\n", None),      # every row short
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,1_0,3.0\n2,3.0,5.0\n",
+     "data.csv line 3"),                                                  # Python-only syntax
+    (GOOD_META, 'timestamp,"a,b\n' + "0,1.0,2.0\n" * 15000, None),      # quote never closed
 ], ids=["blank-row", "ragged-row", "json-not-object", "no-detect-time", "no-sli",
         "duplicate-column", "comment-row", "whitespace-row", "hash-in-row",
         "fractional-timestamp", "trailing-comma", "short-first-row", "short-rows",
         "underscore-number", "unclosed-quote"])
-def test_analyze_malformed_case_is_an_error(tmp_path, capsys, meta, data):
+def test_analyze_malformed_case_is_an_error(tmp_path, capsys, meta, data, where):
     case_dir = tmp_path / "case"
     case_dir.mkdir()
     (case_dir / "case.json").write_text(meta)
@@ -262,6 +273,10 @@ def test_analyze_malformed_case_is_an_error(tmp_path, capsys, meta, data):
                  "--out", str(tmp_path / "scores.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # the message points at the file's line, not at numpy's options
+    if where is not None:
+        assert where in err
+    assert "usecols" not in err
     assert not (tmp_path / "scores.json").exists()
 
 
@@ -349,3 +364,23 @@ def test_evaluate_malformed_dataset_graph_is_an_error(tmp_path, capsys):
     assert main(["evaluate", str(tmp_path / "ds"), "--scorers", "nsigma", "--jobs", "1",
                  "--out", str(tmp_path / "report.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evaluate_pooled_load_error_reaches_the_cli(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(["simulate", "--nodes", "10", "--edges", "20", "--graphs", "2", "--cases", "12",
+                 "--seed", "3", "--jobs", "1", "--out", str(out)]) == 0
+    bad = out / "g1" / "c07"
+    lines = (bad / "data.csv").read_text().splitlines(keepends=True)
+    timestamp, _, rest = lines[2].split(",", 2)
+    lines[2] = f"{timestamp},1_0,{rest}"  # line 3: a number numpy does not read
+    (bad / "data.csv").write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["evaluate", str(out), "--scorers", "nsigma", "--jobs", "2",
+                 "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
+    assert len(err.splitlines()) == 1
+    assert str(bad) in err and "data.csv line 3" in err
+    assert not (tmp_path / "report.json").exists()

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rcakit.errors import EmptyCaseSet
 from rcakit.evaluation import ac_at_k, case_recall_at_k, evaluate, format_table, save_report
 from rcakit.model import GroundTruth
+from rcakit.scoring import SCORER_NAMES
 from rcakit.simulation import SimulatedDataset, generate_dataset
 
 
@@ -95,33 +98,63 @@ def test_evaluate_case_order_irrelevant(tiny_dataset):
     assert a.methods["rht"].per_graph == b.methods["rht"].per_graph
 
 
+def without_times(report):
+    payload = report.to_json()
+    for method in payload["methods"].values():
+        del method["mean_time_s"]
+    return payload
+
+
 def test_evaluate_parallel_matches_serial(tiny_dataset):
-    serial = evaluate(tiny_dataset, ["rht"], k_max=5)
-    parallel = evaluate(tiny_dataset, ["rht"], k_max=5, jobs=2)
+    methods = list(SCORER_NAMES)
+    assert len(methods) == 6
+    serial = evaluate(tiny_dataset, methods, k_max=5)
+    parallel = evaluate(tiny_dataset, methods, k_max=5, jobs=2)
     assert serial.methods["rht"].ac_mean == parallel.methods["rht"].ac_mean
+    assert list(parallel.methods) == methods
+    assert without_times(parallel) == without_times(serial)
+    # methods stay apart: each equals the method evaluated on its own
+    for method in methods:
+        alone = evaluate(tiny_dataset, [method], k_max=5, jobs=2)
+        assert without_times(alone)["methods"][method] == without_times(serial)["methods"][method]
 
 
-def test_evaluate_fail_soft(tiny_dataset):
-    # drop one series from one case so the regression scorer fails there
-    from dataclasses import replace
-
-    g0 = tiny_dataset.graphs[0]
+def broken_dataset(dataset):
+    """``dataset`` with series m5 dropped from its first case, so the
+    regression scorers fail there."""
+    g0 = dataset.graphs[0]
     broken_case = g0.cases[0].case
     kept = [j for j, m in enumerate(broken_case.metrics) if m != "m5"]
     broken = replace(g0.cases[0], case=replace(
         broken_case, metrics=tuple(broken_case.metrics[j] for j in kept),
         values=broken_case.values[:, kept],
     ))
-    dataset = replace(tiny_dataset, graphs=(
+    return replace(dataset, graphs=(
         replace(g0, cases=(broken,) + g0.cases[1:]),
-        *tiny_dataset.graphs[1:],
+        *dataset.graphs[1:],
     ))
-    report = evaluate(dataset, ["rht"], k_max=5)
+
+
+def test_evaluate_fail_soft(tiny_dataset):
+    report = evaluate(broken_dataset(tiny_dataset), ["rht"], k_max=5)
     res = report.methods["rht"]
     assert len(res.failures) == 1
     assert res.failures[0][0] == "g0"
     assert "MissingSeries" in res.failures[0][2]
     assert res.n_cases == 15
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_evaluate_fail_soft_keeps_methods_apart(tiny_dataset, jobs):
+    dataset = broken_dataset(tiny_dataset)
+    methods = ["rht", "nsigma", "ideal"]
+    report = evaluate(dataset, methods, k_max=5, jobs=jobs)
+    assert len(report.methods["rht"].failures) == 1
+    for method in methods:
+        alone = evaluate(dataset, [method], k_max=5).methods[method]
+        assert report.methods[method].failures == alone.failures
+        assert report.methods[method].n_cases == alone.n_cases
+        assert report.methods[method].n_cases + len(alone.failures) == 16
 
 
 def test_evaluate_fault_type_breakdown(tiny_dataset):

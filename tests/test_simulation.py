@@ -23,7 +23,13 @@ from rcakit.simulation import (
     simulate_matrix,
 )
 
-from conftest import chain_dag, gamma, inverse_residual, propagation_reference
+from conftest import (
+    chain_dag,
+    gamma,
+    inverse_residual,
+    propagation_reference,
+    read_tree_bytes,
+)
 
 
 def undirected_connected(A):
@@ -280,6 +286,36 @@ def test_dataset_disk_roundtrip(tmp_path):
             assert ca.case == cb.case
             assert ca.truth == cb.truth
             assert ca.fault_type == cb.fault_type
+
+
+def test_save_dataset_pooled_bytes_match_serial(tmp_path):
+    ds = generate_dataset(8, 15, n_graphs=3, cases_per_graph=11, rng_seed=21)
+    save_dataset(ds, tmp_path / "serial", jobs=1)
+    save_dataset(ds, tmp_path / "pooled", jobs=2)
+    serial = read_tree_bytes(tmp_path / "serial")
+    assert len(serial) == 1 + 3 * (1 + 11 * 2)
+    assert read_tree_bytes(tmp_path / "pooled") == serial
+
+
+def test_load_dataset_pooled_matches_serial(tmp_path):
+    ds = generate_dataset(8, 15, n_graphs=3, cases_per_graph=11, rng_seed=22)
+    save_dataset(ds, tmp_path / "ds")
+    serial = load_dataset(tmp_path / "ds", jobs=1)
+    pooled = load_dataset(tmp_path / "ds", jobs=2)
+    assert pooled.params == serial.params
+    assert [g.graph_id for g in pooled.graphs] == [g.graph_id for g in serial.graphs]
+    for gs, gp in zip(serial.graphs, pooled.graphs):
+        assert gp.graph == gs.graph
+        assert [c.case_id for c in gp.cases] == [c.case_id for c in gs.cases]
+        assert len(gp.cases) == 11
+        for cs, cp in zip(gs.cases, gp.cases):
+            assert cp.case.metrics == cs.case.metrics
+            assert cp.truth == cs.truth
+            assert cp.fault_type == cs.fault_type
+            # bit for bit, so -0.0 against 0.0 or a NaN would show
+            assert np.array_equal(cp.case.values.view(np.uint64), cs.case.values.view(np.uint64))
+            assert cp.case == cs.case
+            assert not cp.case.values.flags.writeable
 
 
 def test_load_dataset_reads_graph_json_with_weights(tmp_path):
