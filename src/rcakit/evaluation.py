@@ -9,16 +9,15 @@ standard deviation across graphs.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyCaseSet, RcakitError
+from .errors import EmptyCaseSet
 from .model import GroundTruth, Ranking
-from .scoring import ABNORMAL_THRESHOLD, run_scorer
+from .scoring import ABNORMAL_THRESHOLD, score_case
 from .simulation import SimulatedDataset, _pool_map
 
 DEFAULT_K = 5
@@ -94,16 +93,8 @@ class EvalReport:
 
 def _score_case(task) -> list[tuple[Optional[Ranking], float, Optional[str]]]:
     """Every method on one case, in order: (ranking, seconds, error) each."""
-    case, graph, truth, methods, threshold = task
-    outcomes = []
-    for method in methods:
-        start = time.perf_counter()
-        try:
-            _, ranking = run_scorer(method, case, graph, truth, threshold=threshold)
-            outcomes.append((ranking, time.perf_counter() - start, None))
-        except (RcakitError, ValueError) as exc:
-            outcomes.append((None, 0.0, f"{type(exc).__name__}: {exc}"))
-    return outcomes
+    return [(None, 0.0, f"{type(outcome).__name__}: {outcome}") if isinstance(outcome, Exception)
+            else (outcome[1], seconds, None) for outcome, seconds in score_case(*task)]
 
 
 def evaluate(
@@ -116,9 +107,10 @@ def evaluate(
     """Run each method over every case and aggregate AC@k per graph.
 
     Per-case failures are recorded and excluded from the averages rather
-    than aborting the batch.  ``jobs`` > 1 scores cases on a process
-    pool, one task per case running every method; per-case timing is
-    taken on the worker that runs the case.
+    than aborting the batch.  Each case is one ``score_case`` pass, so
+    methods that share a detector compute it once; a method's time still
+    counts that detector in full.  ``jobs`` > 1 scores cases on a process
+    pool, timed on the worker that runs the case.
     """
     if not dataset.graphs:
         raise EmptyCaseSet("dataset has no graphs")

@@ -344,14 +344,16 @@ def _parse_rows(lines: list[str]) -> np.ndarray:
 
 
 def _first_bad_row(lines: list[str], first_line: int, n_fields: int) -> Optional[str]:
-    """Why the first bad body row fails, for a body ``_parse_rows`` rejected:
-    its field count differs from the header's, or it does not parse alone."""
+    """Why the first bad body row fails, for a body that ``load_case`` rejected:
+    its field count differs from the header's, or it or its timestamp does
+    not parse alone."""
     for line, text in enumerate(lines, start=first_line):
         fields = text.count(",") + 1
         if fields != n_fields:
             return f"data.csv line {line} has {fields} fields, the header {n_fields}"
         try:
             _parse_rows([text])
+            int(text.split(",", 1)[0])
         except ValueError as exc:
             # numpy's own row and column count within the one line it saw
             return f"data.csv line {line}: {str(exc).split(' at row ')[0]}"
@@ -386,12 +388,14 @@ def load_case(directory) -> LoadedCase:
             raise ValueError("data.csv needs at least two samples")
         try:
             table = _parse_rows(lines)
+            timestamps = [int(text.split(",", 1)[0]) for text in lines]
         except ValueError as exc:
             raise ValueError(_first_bad_row(lines, first_line, len(header)) or exc) from exc
-        timestamps = [int(text.split(",", 1)[0]) for text in lines]
         steps = set(np.diff(timestamps).tolist())
         if len(steps) != 1:
-            raise ValueError("data.csv timestamps are not evenly spaced")
+            diffs = np.diff(timestamps)
+            line = first_line + 1 + int(np.argmax(diffs != diffs[0]))
+            raise ValueError(f"data.csv line {line}: timestamps are not evenly spaced")
         roots = meta.get("root_causes") or []
         if not isinstance(roots, list):
             raise ValueError("root_causes must be a list of metric ids")

@@ -14,13 +14,14 @@ baseline that walks the abnormal subgraph upward from the SLI.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import MissingSeries
+from .errors import MissingSeries, RcakitError
 from .model import Case, CausalGraph, GroundTruth, MetricId, Ranking, window_index_ranges
 from .regression import centre, fit_group, sigma_floor
 
@@ -28,8 +29,13 @@ from .regression import centre, fit_group, sigma_floor
 #: rule of thumb).  Configurable wherever it is consumed.
 ABNORMAL_THRESHOLD = 3.0
 
+#: Each registered scorer as the parts score_case builds it from: its
+#: detector, whether descendant_adjust boosts it, whether dfs_score ranks it.
+SCORERS = {"rht": ("rht", False, False), "rht-pg": ("rht-lagged", False, False),
+           "circa": ("rht", True, False), "nsigma": ("nsigma", False, False),
+           "dfs": ("nsigma", False, True), "ideal": ("ideal", False, False)}
 #: Registered scorer names accepted by run_scorer and the CLI.
-SCORER_NAMES = ("rht", "rht-pg", "circa", "nsigma", "dfs", "ideal")
+SCORER_NAMES = tuple(SCORERS)
 
 
 @dataclass(frozen=True)
@@ -40,9 +46,10 @@ class ScoreTable:
     adjusted: Optional[dict[MetricId, float]] = None
 
     def __post_init__(self):
-        for metric, score in self.raw.items():
-            if not np.isfinite(score) or score < 0:
-                raise ValueError(f"raw score for {metric!r} must be finite and >= 0")
+        scores = np.fromiter(self.raw.values(), float, len(self.raw))
+        bad = np.flatnonzero(~(np.isfinite(scores) & (scores >= 0)))
+        if bad.size:
+            raise ValueError(f"raw score for {list(self.raw)[bad[0]]!r} must be finite and >= 0")
 
     def best(self) -> dict[MetricId, float]:
         """The scores rankings should use: adjusted when present."""
@@ -203,20 +210,62 @@ def dfs_score(
     return [(m, float(detector_scores[m])) for m in ordering + rest]
 
 
-def ideal_score(case: Case, truth: GroundTruth) -> dict[MetricId, float]:
+def ideal_score(case: Case, truth: Optional[GroundTruth]) -> dict[MetricId, float]:
     """Oracle scores: 1 for true root causes, 0 elsewhere."""
+    if truth is None:
+        raise ValueError("the ideal scorer needs ground truth labels")
     return {m: (1.0 if m in truth.root_causes else 0.0) for m in case.metrics}
 
 
-def run_scorer(
-    name: str,
-    case: Case,
-    graph: Optional[CausalGraph] = None,
-    truth: Optional[GroundTruth] = None,
-    threshold: float = ABNORMAL_THRESHOLD,
-    lagged: Optional[bool] = None,
-    adjust: Optional[bool] = None,
-) -> tuple[ScoreTable, Ranking]:
+def score_case(case: Case, graph: Optional[CausalGraph], truth: Optional[GroundTruth],
+               methods, threshold: float = ABNORMAL_THRESHOLD,
+               lagged: Optional[bool] = None, adjust: Optional[bool] = None) -> list:
+    """Run registered scorers on one case, computing each detector once.
+
+    Per method, in order: ``((table, ranking), seconds)``, or ``(error, 0.0)``
+    if it raised.  ``seconds`` count a shared detector in full, as if the
+    method ran alone.  ``lagged`` and ``adjust`` are run_scorer's overrides.
+    """
+    detected: dict[str, tuple] = {}
+    outcomes = []
+    for name in methods:
+        try:
+            if name not in SCORERS:
+                raise ValueError(f"unknown scorer {name!r}; registered: {', '.join(SCORER_NAMES)}")
+            detector, do_adjust, dfs = SCORERS[name]
+            rht = detector.startswith("rht")
+            if graph is None and (rht or dfs):
+                raise ValueError(f"scorer {name!r} needs a causal graph")
+            if rht and lagged is not None:
+                detector = "rht-lagged" if lagged else "rht"
+            do_adjust = adjust if rht and adjust is not None else do_adjust
+            if detector not in detected:
+                start = time.perf_counter()
+                try:
+                    raw = (nsigma_score(case) if detector == "nsigma"
+                           else ideal_score(case, truth) if detector == "ideal"
+                           else rht_score(case, graph, use_lagged_self=detector == "rht-lagged"))
+                    detected[detector] = raw, time.perf_counter() - start
+                except (RcakitError, ValueError) as exc:
+                    detected[detector] = exc, 0.0
+            raw, seconds = detected[detector]
+            if isinstance(raw, Exception):
+                raise raw
+            start = time.perf_counter()
+            adjusted = descendant_adjust(raw, graph, threshold=threshold) if do_adjust else None
+            ranking = (dfs_score(case, graph, raw, threshold=threshold) if dfs
+                       else rank(raw if adjusted is None else adjusted))
+            table = ScoreTable(raw=raw, adjusted=adjusted)
+            outcomes.append(((table, ranking), seconds + time.perf_counter() - start))
+        except (RcakitError, ValueError) as exc:
+            outcomes.append((exc, 0.0))
+    return outcomes
+
+
+def run_scorer(name: str, case: Case, graph: Optional[CausalGraph] = None,
+               truth: Optional[GroundTruth] = None, threshold: float = ABNORMAL_THRESHOLD,
+               lagged: Optional[bool] = None, adjust: Optional[bool] = None,
+               ) -> tuple[ScoreTable, Ranking]:
     """Run a registered scorer on one case and return scores plus ranking.
 
     ``lagged`` and ``adjust`` override each scorer's defaults: rht uses
@@ -224,27 +273,7 @@ def run_scorer(
     descendant adjustment, nsigma and ideal ignore the graph, and dfs
     ranks via the traversal baseline fed by nsigma detections.
     """
-    if name not in SCORER_NAMES:
-        raise ValueError(f"unknown scorer {name!r}; registered: {', '.join(SCORER_NAMES)}")
-    if name in ("rht", "rht-pg", "circa", "dfs") and graph is None:
-        raise ValueError(f"scorer {name!r} needs a causal graph")
-
-    if name == "nsigma":
-        table = ScoreTable(raw=nsigma_score(case))
-        return table, rank(table.raw)
-    if name == "ideal":
-        if truth is None:
-            raise ValueError("the ideal scorer needs ground truth labels")
-        table = ScoreTable(raw=ideal_score(case, truth))
-        return table, rank(table.raw)
-    if name == "dfs":
-        detector = nsigma_score(case)
-        ranking = dfs_score(case, graph, detector, threshold=threshold)
-        return ScoreTable(raw=detector), ranking
-
-    use_lagged = {"rht": False, "rht-pg": True, "circa": False}[name] if lagged is None else lagged
-    do_adjust = (name == "circa") if adjust is None else adjust
-    raw = rht_score(case, graph, use_lagged_self=use_lagged)
-    adjusted = descendant_adjust(raw, graph, threshold=threshold) if do_adjust else None
-    table = ScoreTable(raw=raw, adjusted=adjusted)
-    return table, rank(table.best())
+    [(outcome, _)] = score_case(case, graph, truth, [name], threshold, lagged, adjust)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -250,7 +250,8 @@ GOOD_CSV = "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"
      "data.csv line 3"),                                                  # whitespace row
     (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0#x\n2,3.0,5.0\n",
      "data.csv line 3"),                                                  # nor a tail comment
-    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1.5,2.0,3.0\n2,3.0,5.0\n", None),  # fractional time
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1.5,2.0,3.0\n2,3.0,5.0\n",
+     "data.csv line 3"),                                                  # fractional time
     (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0,\n2,3.0,5.0\n",
      "data.csv line 3"),                                                  # trailing comma
     (GOOD_META, "timestamp,a,b\n0,1.0\n1,2.0,3.0\n2,3.0,5.0\n", "data.csv line 2"),  # short first row
@@ -258,10 +259,12 @@ GOOD_CSV = "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"
     (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,1_0,3.0\n2,3.0,5.0\n",
      "data.csv line 3"),                                                  # Python-only syntax
     (GOOD_META, 'timestamp,"a,b\n' + "0,1.0,2.0\n" * 15000, None),      # quote never closed
+    (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n3,3.0,5.0\n",
+     "data.csv line 4"),                                                  # uneven spacing
 ], ids=["blank-row", "ragged-row", "json-not-object", "no-detect-time", "no-sli",
         "duplicate-column", "comment-row", "whitespace-row", "hash-in-row",
         "fractional-timestamp", "trailing-comma", "short-first-row", "short-rows",
-        "underscore-number", "unclosed-quote"])
+        "underscore-number", "unclosed-quote", "uneven-timestamps"])
 def test_analyze_malformed_case_is_an_error(tmp_path, capsys, meta, data, where):
     case_dir = tmp_path / "case"
     case_dir.mkdir()

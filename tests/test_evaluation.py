@@ -1,12 +1,25 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from rcakit import scoring
 from rcakit.errors import EmptyCaseSet
 from rcakit.evaluation import ac_at_k, case_recall_at_k, evaluate, format_table, save_report
 from rcakit.model import GroundTruth
-from rcakit.scoring import SCORER_NAMES
+from rcakit.scoring import (
+    SCORER_NAMES,
+    ScoreTable,
+    descendant_adjust,
+    dfs_score,
+    ideal_score,
+    nsigma_score,
+    rank,
+    rht_score,
+    run_scorer,
+    score_case,
+)
 from rcakit.simulation import SimulatedDataset, generate_dataset
 
 
@@ -147,7 +160,7 @@ def test_evaluate_fail_soft(tiny_dataset):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_evaluate_fail_soft_keeps_methods_apart(tiny_dataset, jobs):
     dataset = broken_dataset(tiny_dataset)
-    methods = ["rht", "nsigma", "ideal"]
+    methods = list(SCORER_NAMES)
     report = evaluate(dataset, methods, k_max=5, jobs=jobs)
     assert len(report.methods["rht"].failures) == 1
     for method in methods:
@@ -155,6 +168,10 @@ def test_evaluate_fail_soft_keeps_methods_apart(tiny_dataset, jobs):
         assert report.methods[method].failures == alone.failures
         assert report.methods[method].n_cases == alone.n_cases
         assert report.methods[method].n_cases + len(alone.failures) == 16
+    # the three rht scorers share one failing detector; dfs misses m5 too
+    for method in ("rht", "rht-pg", "circa", "dfs"):
+        assert len(report.methods[method].failures) == 1
+        assert "MissingSeries" in report.methods[method].failures[0][2]
 
 
 def test_evaluate_fault_type_breakdown(tiny_dataset):
@@ -177,3 +194,105 @@ def test_report_json_and_save(tiny_dataset, tmp_path):
 def test_evaluate_empty_dataset():
     with pytest.raises(EmptyCaseSet):
         evaluate(SimulatedDataset(graphs=()), ["rht"])
+
+
+# --- one scoring pass per case ------------------------------------------------
+
+def composed_by_hand(name, case, graph, truth):
+    """Each scorer spelled out from the primitives, one detector call each."""
+    if name == "ideal":
+        table = ScoreTable(raw=ideal_score(case, truth))
+        return table, rank(table.raw)
+    if name in ("nsigma", "dfs"):
+        table = ScoreTable(raw=nsigma_score(case))
+        return table, (dfs_score(case, graph, table.raw) if name == "dfs" else rank(table.raw))
+    raw = rht_score(case, graph, use_lagged_self=name == "rht-pg")
+    table = ScoreTable(raw=raw, adjusted=descendant_adjust(raw, graph) if name == "circa" else None)
+    return table, rank(table.best())
+
+
+ALL_SUBSETS = [list(c) for r in range(1, 7) for c in combinations(SCORER_NAMES, r)]
+
+
+def test_score_case_every_subset_equals_each_scorer_alone(tiny_dataset):
+    assert len(ALL_SUBSETS) == 63
+    records = [(g, c) for g in tiny_dataset.graphs for c in g.cases[:2]]
+    for g, record in records:
+        args = (record.case, g.graph, record.truth)
+        alone = {}
+        for name in SCORER_NAMES:
+            table, ranking = run_scorer(name, *args)
+            alone[name] = table.to_json(ranking)
+        for name in SCORER_NAMES:
+            table, ranking = composed_by_hand(name, *args)
+            assert alone[name] == table.to_json(ranking)
+        for subset in ALL_SUBSETS:
+            outcomes = score_case(*args, subset)
+            assert len(outcomes) == len(subset)
+            for name, ((table, ranking), seconds) in zip(subset, outcomes):
+                assert table.to_json(ranking) == alone[name], (subset, name)
+                assert seconds > 0.0
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(scoring, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("use_lagged_self"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, name, counted)
+    return calls
+
+
+def test_score_case_runs_each_detector_once(tiny_dataset, monkeypatch):
+    g = tiny_dataset.graphs[0]
+    record = g.cases[0]
+    rht_calls = counting(monkeypatch, "rht_score")
+    nsigma_calls = counting(monkeypatch, "nsigma_score")
+    outcomes = score_case(record.case, g.graph, record.truth, SCORER_NAMES)
+    assert all(not isinstance(outcome, Exception) for outcome, _ in outcomes)
+    assert sorted(rht_calls) == [False, True]
+    assert len(nsigma_calls) == 1
+
+
+def test_score_case_charges_shared_detector_to_every_user(tiny_dataset, monkeypatch):
+    """Seconds are per method as if it ran alone: a detector's time counts
+    for each method built on it, on a clock only the detectors advance."""
+    clock = [0.0]
+    monkeypatch.setattr(scoring.time, "perf_counter", lambda: clock[0])
+    for name, cost in (("rht_score", 1.0), ("nsigma_score", 0.25)):
+        original = getattr(scoring, name)
+
+        def slow(*args, _original=original, _cost=cost, **kwargs):
+            clock[0] += _cost
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, name, slow)
+    g = tiny_dataset.graphs[0]
+    record = g.cases[0]
+    outcomes = score_case(record.case, g.graph, record.truth, SCORER_NAMES)
+    seconds = dict(zip(SCORER_NAMES, (s for _, s in outcomes)))
+    assert seconds == {"rht": 1.0, "rht-pg": 1.0, "circa": 1.0,
+                       "nsigma": 0.25, "dfs": 0.25, "ideal": 0.0}
+
+
+def test_failing_detector_is_tried_once(tiny_dataset, monkeypatch):
+    dataset = broken_dataset(tiny_dataset)
+    g = dataset.graphs[0]
+    record = g.cases[0]
+    rht_calls = counting(monkeypatch, "rht_score")
+    outcomes = score_case(record.case, g.graph, record.truth, SCORER_NAMES)
+    assert sorted(rht_calls) == [False, True]
+    errors = {name: f"{type(o).__name__}: {o}" for name, (o, _) in zip(SCORER_NAMES, outcomes)
+              if isinstance(o, Exception)}
+    # nsigma scores what is there, so only its dfs ranking misses m5
+    assert set(errors) == {"rht", "rht-pg", "circa", "dfs"}
+    assert errors["rht"] == errors["circa"] == errors["rht-pg"]
+    assert errors["rht"].startswith("MissingSeries: ")
+    assert errors["dfs"] == "MissingSeries: no detector score for: m5"
+    # the whole serial batch: two rht_score calls per case, failing or not
+    rht_calls.clear()
+    evaluate(dataset, ["rht", "circa", "rht-pg"], k_max=5)
+    assert len(rht_calls) == 2 * dataset.n_cases()

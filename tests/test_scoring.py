@@ -280,6 +280,14 @@ def test_score_table_validation():
         ScoreTable(raw={"a": float("inf")})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -0.5], ids=["nan", "-inf", "negative"])
+def test_score_table_names_first_bad_metric(bad):
+    # valid scores first; dict order, not name order, decides which is named
+    with pytest.raises(ValueError, match="raw score for 'y' must be finite and >= 0"):
+        ScoreTable(raw={"m1": 0.0, "m2": 3.5, "y": bad, "x": float("nan")})
+    ScoreTable(raw={"m1": 0.0, "m2": 3.5})
+
+
 def test_run_scorer_contracts():
     dag = chain_dag()
     rng = np.random.default_rng(8)
