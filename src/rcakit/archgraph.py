@@ -26,6 +26,17 @@ import yaml
 from .errors import CyclicCallGraph, MalformedInput, ResultNotDag, UnknownMetaMetric
 from .model import CausalGraph, MetricId
 
+#: libyaml's safe loader when PyYAML is built with it, else the pure-Python
+#: one: the same constructor and resolver, so the same result.
+Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+#: The deepest collection nesting an arch.yaml may have.  libyaml's
+#: composer recurses in C, one stack frame per level, and no Python limit
+#: stops it: on an 8 MB stack 20,000 levels load and 25,000 crash the
+#: interpreter.  The limit leaves room for smaller stacks and is far above
+#: what an architecture needs (about 5 levels).
+MAX_NESTING = 5_000
+
 
 class MetaMetricDim(str, Enum):
     """The four per-service measurement dimensions."""
@@ -234,15 +245,57 @@ def _as_list(value, where: str) -> list:
     return value
 
 
+def _nesting_bound(text: str) -> int:
+    """An upper bound on the collection nesting of the YAML in ``text``:
+    every collection opens with at least one of these characters."""
+    return sum(map(text.count, "[{-?:"))
+
+
+def _check_nesting(text: str, path) -> None:
+    """MalformedInput when ``text`` nests deeper than MAX_NESTING.  Only a
+    text whose cheap bound exceeds the limit is scanned, and the scan of
+    parser events stops at the first level past it.
+
+    Only libyaml's composer needs the guard: the pure-Python one recurses
+    in Python and stops with a RecursionError.  Both scanners take time
+    quadratic in the depth of nested flow collections, so the pure-Python
+    one is not asked for a scan it does not need.
+    """
+    if issubclass(Loader, yaml.composer.Composer) or _nesting_bound(text) <= MAX_NESTING:
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=Loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise MalformedInput(f"{path}: nested deeper than {MAX_NESTING} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
+def _name(value, where: str) -> str:
+    """A scalar as a name; a list or mapping is rejected rather than
+    spelled out (``name: [a]`` is not the name ``['a']``)."""
+    if isinstance(value, (list, dict)):
+        raise MalformedInput(f"{where} must be a name, got {type(value).__name__}")
+    return str(value)
+
+
 def load_architecture(path) -> ArchitectureSpec:
     """Parse an arch.yaml file into an ArchitectureSpec.
 
-    Raises MalformedInput for a file that does not describe one.
+    Raises MalformedInput for a file that does not describe one, including
+    one nested deeper than MAX_NESTING.
     """
     try:
-        payload = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        _check_nesting(text, path)
+        payload = yaml.load(text, Loader=Loader)
     except yaml.YAMLError as exc:
         raise MalformedInput(f"{path}: not valid YAML ({exc})") from exc
+    except RecursionError:
+        # The pure-Python composer recurses in Python and gives out first.
+        raise MalformedInput(f"{path}: nested too deeply to parse") from None
     if not isinstance(payload, dict):
         raise MalformedInput(f"{path}: expected a mapping with 'services' and 'metrics'")
     services = []
@@ -252,24 +305,24 @@ def load_architecture(path) -> ArchitectureSpec:
         callees = _as_list(entry.get("callees"), f"{path}: services[{i}].callees")
         if not all(isinstance(c, (str, int)) for c in callees):
             raise MalformedInput(f"{path}: services[{i}].callees must name services")
-        services.append(ServiceNode(service=str(entry["name"]),
+        services.append(ServiceNode(service=_name(entry["name"], f"{path}: services[{i}].name"),
                                     callees=tuple(str(c) for c in callees)))
     metric_map: dict[MetricId, frozenset[MetaMetric]] = {}
     for i, entry in enumerate(_as_list(payload.get("metrics"), f"{path}: metrics")):
         if not isinstance(entry, dict) or "name" not in entry or not entry.get("maps_to"):
             raise MalformedInput(f"{path}: metrics[{i}] needs 'name' and a non-empty 'maps_to'")
-        name = str(entry["name"])
+        name = _name(entry["name"], f"{path}: metrics[{i}].name")
         if name in metric_map:
             raise MalformedInput(f"{path}: metric {name!r} declared twice")
         metas = set()
         for j, target in enumerate(_as_list(entry["maps_to"], f"{path}: metrics[{i}].maps_to")):
+            where = f"{path}: metrics[{i}].maps_to[{j}]"
             try:
-                dim = MetaMetricDim(str(target["dim"]).lower())
-                metas.add(MetaMetric(service=str(target["service"]), dim=dim))
+                dim = MetaMetricDim(_name(target["dim"], where).lower())
+                metas.add(MetaMetric(service=_name(target["service"], where), dim=dim))
             except (KeyError, TypeError, ValueError):
                 raise MalformedInput(
-                    f"{path}: metrics[{i}].maps_to[{j}] needs service and "
-                    f"dim in {{traffic, saturation, latency, errors}}"
+                    f"{where} needs service and dim in {{traffic, saturation, latency, errors}}"
                 ) from None
         metric_map[name] = frozenset(metas)
     return ArchitectureSpec(services=tuple(services), metric_map=metric_map)

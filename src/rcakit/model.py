@@ -12,6 +12,7 @@ import csv
 import heapq
 import io
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -261,8 +262,33 @@ class CausalGraph:
         return cls(payload["nodes"], [(str(p), str(c)) for p, c in payload["edges"]])
 
 
+def json_float(x: float) -> str:
+    """``x`` as json writes it: its repr, or ``Infinity``, ``-Infinity`` and
+    ``NaN`` for the values JSON has no number for."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def json_block(items: list[str], brackets: str) -> str:
+    """Encoded ``items`` laid out as ``json.dumps(indent=2)`` lays out a list
+    or object held by a key of the top-level object: one item a line, or
+    bare brackets when there are none.
+
+    json switches to its pure-Python encoder whenever ``indent`` is set, so
+    the fixed-shape files build their text from these blocks instead.
+    """
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}"
+
+
 def save_graph(graph: CausalGraph, path) -> None:
-    Path(path).write_text(json.dumps(graph.to_json(), indent=2, sort_keys=True) + "\n")
+    """Write graph.json: the bytes of ``json.dumps(graph.to_json(), indent=2,
+    sort_keys=True)`` plus a newline."""
+    q = json.encoder.encode_basestring_ascii
+    nodes = json_block([q(v) for v in sorted(graph.nodes)], "[]")
+    edges = json_block([f"[\n      {q(p)},\n      {q(c)}\n    ]" for p, c in sorted(graph.edges)],
+                       "[]")
+    Path(path).write_text(f'{{\n  "edges": {edges},\n  "nodes": {nodes}\n}}\n')
 
 
 def load_graph(path) -> CausalGraph:

@@ -22,7 +22,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import MissingSeries, RcakitError
-from .model import Case, CausalGraph, GroundTruth, MetricId, Ranking, window_index_ranges
+from .model import (Case, CausalGraph, GroundTruth, MetricId, Ranking, json_block, json_float,
+                    window_index_ranges)
 from .regression import centre, fit_group, sigma_floor
 
 #: Scores at or above this many sigmas count as abnormal (the three-sigma
@@ -67,7 +68,20 @@ class ScoreTable:
 
 
 def save_scores(path, table: ScoreTable, ranking: Optional[Ranking] = None) -> None:
-    Path(path).write_text(json.dumps(table.to_json(ranking), indent=2, sort_keys=True) + "\n")
+    """Write scores.json: the bytes of ``json.dumps(table.to_json(ranking),
+    indent=2, sort_keys=True)`` plus a newline."""
+    payload = table.to_json(ranking)
+    q = json.encoder.encode_basestring_ascii
+
+    def scores(mapping):
+        if mapping is None:
+            return "null"
+        return json_block([f"{q(m)}: {json_float(s)}" for m, s in mapping.items()], "{}")
+
+    ranked = json_block([f"[\n      {q(m)},\n      {json_float(s)}\n    ]"
+                         for m, s in payload["ranking"]], "[]")
+    Path(path).write_text(f'{{\n  "adjusted": {scores(payload["adjusted"])},\n'
+                          f'  "ranking": {ranked},\n  "raw": {scores(payload["raw"])}\n}}\n')
 
 
 def _require_series(case: Case, metrics) -> None:

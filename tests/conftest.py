@@ -3,9 +3,15 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rcakit.model import Case, CausalGraph
 from rcakit.simulation import WeightedDag
+
+
+#: Metric names of any text json can encode as UTF-8: quotes, backslashes,
+#: control and non-ASCII characters, but no lone surrogates.
+metric_names = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8)
 
 
 def make_case(values_by_metric, detect_time, sli=None, start_time=None,

@@ -1,6 +1,16 @@
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rcakit import archgraph
 from rcakit.archgraph import (
     ArchitectureSpec,
     MetaMetric,
@@ -13,6 +23,29 @@ from rcakit.archgraph import (
 from rcakit.errors import CyclicCallGraph, MalformedInput, UnknownMetaMetric
 
 from conftest import lexicographic_networkx_order
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Both safe loaders the module can run with: the pure-Python one, and
+#: libyaml's when PyYAML is built with it.
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.fixture(params=LOADERS, ids=lambda loader: loader.__name__)
+def loader(request, monkeypatch):
+    monkeypatch.setattr(archgraph, "Loader", request.param)
+    return request.param
+
+
+def load_with(loader, path):
+    """load_architecture's spec, or its MalformedInput message, with the
+    module's loader set to ``loader``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(archgraph, "Loader", loader)
+        try:
+            return load_architecture(path)
+        except MalformedInput as exc:
+            return str(exc)
 
 T, S, L, E = (MetaMetricDim.TRAFFIC, MetaMetricDim.SATURATION,
               MetaMetricDim.LATENCY, MetaMetricDim.ERRORS)
@@ -235,12 +268,201 @@ def test_load_architecture_rejects_bad_dim(tmp_path):
     "services: [{name: web}]\nmetrics:\n  - name: x\n    maps_to: web\n",
     "services: {name: web}\n",
     "services: [{name: web]\n",
+    "services: [{name: web\x01}]\n",
 ])
 def test_load_architecture_rejects_malformed_yaml(tmp_path, text):
     path = tmp_path / "arch.yaml"
     path.write_text(text)
+    for loader in LOADERS:
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(MalformedInput):
+            mp.setattr(archgraph, "Loader", loader)
+            load_architecture(path)
+
+
+SIMPLE_ARCH = ("services:\n  - name: web\n    callees: [db]\n  - name: db\n"
+               "metrics:\n  - name: web_qps\n    maps_to: [{service: web, dim: traffic}]\n")
+
+
+@pytest.mark.parametrize("name", ["bom", "crlf"])
+def test_load_architecture_bom_and_crlf(tmp_path, name):
+    plain = tmp_path / "plain.yaml"
+    plain.write_text(SIMPLE_ARCH, encoding="utf-8")
+    path = tmp_path / f"{name}.yaml"
+    if name == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + SIMPLE_ARCH.encode())
+    else:
+        path.write_bytes(SIMPLE_ARCH.replace("\n", "\r\n").encode())
+    expected = load_with(yaml.SafeLoader, plain)
+    assert isinstance(expected, ArchitectureSpec)
+    for loader in LOADERS:
+        assert load_with(loader, path) == expected
+
+
+#: Service and metric names: any text, or a number the resolver reads as one.
+ARCH_NAMES = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6) \
+    | st.integers(-5, 99)
+
+
+@st.composite
+def architectures(draw):
+    """An arch.yaml payload and the spec it describes."""
+    names = draw(st.lists(ARCH_NAMES, unique_by=str, min_size=1, max_size=5))
+    services = [{"name": name, "callees": draw(st.lists(st.sampled_from(names), max_size=3))}
+                for name in names]
+    targets = st.fixed_dictionaries({
+        "service": st.sampled_from(names),
+        "dim": st.sampled_from(["traffic", "Saturation", "LATENCY", "errors"]),
+    })
+    metrics = [{"name": name, "maps_to": draw(st.lists(targets, min_size=1, max_size=3))}
+               for name in draw(st.lists(ARCH_NAMES, unique_by=str, max_size=6))]
+    spec = ArchitectureSpec(
+        services=tuple(ServiceNode(str(s["name"]), tuple(str(c) for c in s["callees"]))
+                       for s in services),
+        metric_map={str(m["name"]): frozenset(mm(str(t["service"]), MetaMetricDim(t["dim"].lower()))
+                                              for t in m["maps_to"])
+                    for m in metrics},
+    )
+    return {"services": services, "metrics": metrics}, spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=architectures(), flow=st.booleans(), allow_unicode=st.booleans())
+@example(drawn=({"services": [{"name": "0", "callees": []}],
+                 "metrics": [{"name": "\x85", "maps_to": [{"service": "0", "dim": "traffic"}]}]},
+                ArchitectureSpec(services=(ServiceNode("0"),),
+                                 metric_map={"\x85": frozenset({mm("0", T)})})),
+         flow=False, allow_unicode=True)
+def test_loaders_agree_on_dumped_architectures(drawn, flow, allow_unicode):
+    payload, spec = drawn
+    text = yaml.safe_dump(payload, default_flow_style=flow, allow_unicode=allow_unicode,
+                          sort_keys=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arch.yaml"
+        path.write_text(text, encoding="utf-8")
+        results = [load_with(loader, path) for loader in LOADERS]
+    assert all(result == results[0] for result in results)
+    # Under allow_unicode PyYAML's emitter writes NEL (U+0085) raw, and
+    # YAML reads it back as a line break, so a name holding one does not
+    # survive the dump; every text that does round-trip gives the spec.
+    if yaml.load(text, Loader=yaml.SafeLoader) == payload:
+        assert results[0] == spec
+
+
+def event_depth(text):
+    """The deepest collection nesting of a YAML stream, from the pure-Python
+    parser's events."""
+    depth = deepest = 0
+    for event in yaml.parse(text, Loader=yaml.SafeLoader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            deepest = max(deepest, depth)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return deepest
+
+
+@st.composite
+def nested_documents(draw):
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                    max_size=3),
+        max_leaves=40,
+    )
+    return yaml.safe_dump(draw(values), default_flow_style=draw(st.none() | st.booleans()),
+                          indent=draw(st.integers(2, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=nested_documents())
+@example(text="- - - a\n")
+@example(text="? ? ? a\n")
+@example(text="a:\n  b:\n    c: d\n")
+@example(text="[a: [b: c], {d: [e]}]\n")
+@example(text="? [a]\n: {b: [c]}\n")
+@example(text="a:\n- b:\n  - c\n  - ? d\n    : e\n")
+@example(text="--- [a]\n--- {b: [[c]]}\n")
+def test_nesting_bound_covers_event_depth(text):
+    assert archgraph._nesting_bound(text) >= event_depth(text)
+
+
+def test_nesting_scan_accepts_long_shallow_file(tmp_path, loader):
+    # 3,000 services put 6,000 '-' and ':' in the file: past the cheap
+    # bound, so the event scan runs and must let the depth-3 file through.
+    services = "".join(f"  - name: s{i}\n" for i in range(3000))
+    path = tmp_path / "arch.yaml"
+    path.write_text(f"services:\n{services}metrics: []\n")
+    assert archgraph._nesting_bound(path.read_text()) > archgraph.MAX_NESTING
+    spec = load_architecture(path)
+    assert [s.service for s in spec.services] == [f"s{i}" for i in range(3000)]
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [600, 30_000])
+def test_deeply_nested_architecture_is_an_error_line(tmp_path, depth):
+    # A subprocess, so that a crash of the C composer fails this test
+    # rather than ending the test run.
+    path = tmp_path / "arch.yaml"
+    path.write_text(f"services: {nested(depth)}\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "rcakit.cli", "graph", str(path),
+                             "--out", str(tmp_path / "graph.json")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+    assert not (tmp_path / "graph.json").exists()
+
+
+@pytest.mark.parametrize("depth", [600, 30_000])
+def test_deeply_nested_architecture_is_malformed_pure_python(tmp_path, monkeypatch, depth):
+    # In process: the pure-Python composer raises RecursionError, never crashes.
+    monkeypatch.setattr(archgraph, "Loader", yaml.SafeLoader)
+    path = tmp_path / "arch.yaml"
+    path.write_text(f"services: {nested(depth)}\n")
+    with pytest.raises(MalformedInput, match="arch.yaml"):
+        load_architecture(path)
+
+
+@pytest.mark.parametrize("where", [
+    "services: [{name: %s}]\n",
+    "services: [{name: web}]\nmetrics: [{name: %s, maps_to: [{service: web, dim: traffic}]}]\n",
+    "services: [{name: web}]\nmetrics: [{name: x, maps_to: [{service: %s, dim: traffic}]}]\n",
+    "services: [{name: web}]\nmetrics: [{name: x, maps_to: [{service: web, dim: %s}]}]\n",
+], ids=["service", "metric", "maps-to-service", "maps-to-dim"])
+@pytest.mark.parametrize("depth", [1, 1500])
+def test_collection_as_name_is_malformed(tmp_path, loader, where, depth):
+    # A name is a scalar: `name: [a]` is not the service "['a']", and a deep
+    # list is not spelled out until Python's recursion limit.
+    path = tmp_path / "arch.yaml"
+    path.write_text(where % ("[" * depth + "a" + "]" * depth))
     with pytest.raises(MalformedInput):
         load_architecture(path)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+def test_architecture_loads_through_libyaml(tmp_path, monkeypatch):
+    # Performance guard: the pure-Python loader takes about 8x as long on a
+    # 30-service architecture, and gives the same result, so nothing but
+    # this test notices a fallback to it.
+    assert archgraph.Loader is yaml.CSafeLoader
+    made = []
+
+    class CountingLoader(yaml.CSafeLoader):
+        def __init__(self, stream):
+            made.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(archgraph, "Loader", CountingLoader)
+    path = tmp_path / "arch.yaml"
+    path.write_text(SIMPLE_ARCH)
+    assert load_architecture(path).metric_map == {"web_qps": frozenset({mm("web", T)})}
+    assert made
 
 
 def test_skeleton_topological_order_matches_networkx():

@@ -1,11 +1,12 @@
 import csv
+import json
 import pickle
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,7 +24,7 @@ from rcakit.model import (
 )
 
 import csv_reference
-from conftest import lexicographic_networkx_order, make_case
+from conftest import lexicographic_networkx_order, make_case, metric_names
 
 
 def test_split_windows_default_example():
@@ -304,6 +305,29 @@ def test_graph_json_roundtrip(tmp_path):
     g = CausalGraph(nodes=["a", "b", "c"], edges=[("a", "b"), ("b", "c")])
     save_graph(g, tmp_path / "graph.json")
     assert load_graph(tmp_path / "graph.json") == g
+
+
+@st.composite
+def graphs(draw):
+    """A DAG over up to 10 arbitrary names: edges run from a lower to a
+    higher index of the drawn node list."""
+    nodes = draw(st.lists(metric_names, unique=True, max_size=10))
+    pairs = draw(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
+    return CausalGraph(nodes, [(nodes[i], nodes[j]) for i, j in pairs if i < j < len(nodes)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=graphs())
+@example(graph=CausalGraph([], []))
+@example(graph=CausalGraph(["a", "b\"c\\d", "\x00\x1f\x7f", "é☃𝄞", "\u2028"],
+                           [("a", "é☃𝄞"), ("b\"c\\d", "\x00\x1f\x7f"), ("a", "\u2028")]))
+def test_save_graph_bytes_match_json_dumps(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        save_graph(graph, path)
+        assert path.read_bytes() == (json.dumps(graph.to_json(), indent=2, sort_keys=True)
+                                     + "\n").encode()
+        assert load_graph(path) == graph
 
 
 def test_ground_truth_non_empty():

@@ -1,5 +1,12 @@
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcakit.errors import MissingSeries
 from rcakit.model import CausalGraph, window_index_ranges
@@ -13,11 +20,12 @@ from rcakit.scoring import (
     rank,
     rht_score,
     run_scorer,
+    save_scores,
 )
 from rcakit.model import GroundTruth
 from rcakit.simulation import apply_noise_shift, simulate_matrix
 
-from conftest import chain_case, chain_dag, make_case, random_dagscores
+from conftest import chain_case, chain_dag, make_case, metric_names, random_dagscores
 
 
 def tiny_case(reference, test, metric="a", extra=None):
@@ -286,6 +294,54 @@ def test_score_table_names_first_bad_metric(bad):
     with pytest.raises(ValueError, match="raw score for 'y' must be finite and >= 0"):
         ScoreTable(raw={"m1": 0.0, "m2": 3.5, "y": bad, "x": float("nan")})
     ScoreTable(raw={"m1": 0.0, "m2": 3.5})
+
+
+#: The floats whose spelling is easiest to get wrong: a signed zero, the
+#: smallest subnormal and the largest finite double.
+EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308)
+
+
+def assert_scores_bytes(table, ranking):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.json"
+        save_scores(path, table, ranking)
+        assert path.read_bytes() == (json.dumps(table.to_json(ranking), indent=2, sort_keys=True)
+                                     + "\n").encode()
+
+
+@st.composite
+def score_tables(draw):
+    """A table over arbitrary names, its adjusted scores absent or any
+    floats (overflowed ones included), and a ranking that is absent, the
+    score order, or any order of the metrics."""
+    names = draw(st.lists(metric_names, unique=True, max_size=8))
+    raw_floats = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    raw = {m: draw(raw_floats) for m in names}
+    adjusted = draw(st.none() | st.fixed_dictionaries(
+        {m: st.floats() | st.sampled_from(EDGE_FLOATS) for m in names}))
+    table = ScoreTable(raw, adjusted)
+    ranking = draw(st.sampled_from([None, rank(table.best())])
+                   | st.permutations(list(table.best().items())))
+    return table, ranking
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=score_tables())
+@example(drawn=(ScoreTable({}), None))
+@example(drawn=(ScoreTable({"a\"b": -0.0, "\\\x01é": 5e-324, "𝄞": 1.7976931348623157e308},
+                           {"a\"b": math.inf, "\\\x01é": 5e-324, "𝄞": math.inf}), None))
+def test_save_scores_bytes_match_json_dumps(drawn):
+    assert_scores_bytes(*drawn)
+
+
+def test_save_scores_keeps_dfs_order():
+    graph = CausalGraph(nodes=["a", "b", "sli"], edges=[("a", "b"), ("b", "sli")])
+    case = make_case({"a": np.zeros(126), "b": np.zeros(126), "sli": np.zeros(126)},
+                     detect_time=120, start_time=0, sli="sli")
+    scores = {"a": 6.0, "b": 5.0, "sli": 8.0}
+    ranking = dfs_score(case, graph, scores, threshold=3.0)
+    assert ranking != rank(scores)  # a dfs ranking is not sorted by score
+    assert_scores_bytes(ScoreTable(scores), ranking)
 
 
 def test_run_scorer_contracts():
