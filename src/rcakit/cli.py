@@ -5,7 +5,8 @@ benchmark dataset, ``graph`` compiles an architecture file into a causal
 graph, ``analyze`` scores one case, and ``evaluate`` runs scorers over a
 dataset and reports AC@k.  Exit codes: 0 on success, 1 on runtime
 failure, 2 on usage errors.  Option precedence is flags, then the
---config JSON file, then built-in defaults.
+--config JSON file, then the parser's defaults: config values are parsed
+as the flags they name, so they are checked the same way.
 """
 
 from __future__ import annotations
@@ -20,15 +21,8 @@ from pathlib import Path
 from . import evaluation, scoring, simulation
 from .archgraph import build_structural_graph, load_architecture
 from .errors import RcakitError
-from .model import (
-    DEFAULT_T_DELAY,
-    DEFAULT_T_REF,
-    DEFAULT_T_TEST,
-    Case,
-    load_case,
-    load_graph,
-    save_graph,
-)
+from .model import (DEFAULT_T_DELAY, DEFAULT_T_REF, DEFAULT_T_TEST, load_case, load_graph,
+                    read_json, save_graph)
 
 
 def _scorer_list(text: str) -> list[str]:
@@ -53,28 +47,28 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic labeled dataset")
     sim.add_argument("--nodes", type=int, required=True, help="metrics per graph")
     sim.add_argument("--edges", type=int, required=True, help="causal edges per graph")
-    sim.add_argument("--graphs", type=int, default=None, help="number of graphs (default 10)")
-    sim.add_argument("--cases", type=int, default=None, help="cases per graph (default 100)")
+    sim.add_argument("--graphs", type=int, default=10, help="number of graphs (default 10)")
+    sim.add_argument("--cases", type=int, default=100, help="cases per graph (default 100)")
     sim.add_argument("--seed", type=int, required=True, help="master RNG seed (mandatory)")
     sim.add_argument("--out", required=True, help="output dataset directory")
-    _add_window_flags(sim)
-    sim.add_argument("--poisson-rate", type=float, default=None,
+    _add_window_flags(sim, DEFAULT_T_REF, DEFAULT_T_DELAY, DEFAULT_T_TEST)
+    sim.add_argument("--poisson-rate", type=float, default=simulation.DEFAULT_POISSON_RATE,
                      help="rate for (root count - 1) (default 1.0)")
-    sim.add_argument("--jobs", type=int, default=None, help="worker processes")
+    sim.add_argument("--jobs", type=int, default=0, help="worker processes (default one per CPU)")
     sim.add_argument("--config", help="JSON file with fallback option values")
     sim.set_defaults(func=cmd_simulate)
 
     gr = sub.add_parser("graph", help="compile an architecture file to graph.json")
     gr.add_argument("arch", help="architecture YAML (services + metric mapping)")
-    gr.add_argument("--out", default=None, help="output path (default graph.json)")
+    gr.add_argument("--out", default="graph.json", help="output path (default graph.json)")
     gr.add_argument("--config", help="JSON file with fallback option values")
     gr.set_defaults(func=cmd_graph)
 
     an = sub.add_parser("analyze", help="score a single case directory")
     an.add_argument("case_dir", help="directory with data.csv and case.json")
     an.add_argument("--graph", default=None, help="graph.json (unused by nsigma/ideal)")
-    an.add_argument("--scorer", default=None, choices=scoring.SCORER_NAMES)
-    an.add_argument("--threshold", type=float, default=None,
+    an.add_argument("--scorer", default="circa", choices=scoring.SCORER_NAMES)
+    an.add_argument("--threshold", type=float, default=scoring.ABNORMAL_THRESHOLD,
                     help="abnormality threshold in sigmas (default 3.0)")
     an.add_argument("--lagged", action=argparse.BooleanOptionalAction, default=None,
                     help="override the scorer's lagged-self default")
@@ -82,94 +76,87 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override descendant adjustment")
     _add_window_flags(an)
     an.add_argument("--out", default=None, help="scores.json path (default inside case dir)")
-    an.add_argument("--top", type=int, default=None, help="rows to print (default 10)")
+    an.add_argument("--top", type=int, default=10, help="rows to print (default 10)")
     an.add_argument("--config", help="JSON file with fallback option values")
     an.set_defaults(func=cmd_analyze)
 
     ev = sub.add_parser("evaluate", help="run scorers over a dataset, report AC@k")
     ev.add_argument("dataset_dir", help="dataset directory from `simulate`")
-    ev.add_argument("--scorers", type=_scorer_list, default=None,
-                    help="comma-separated scorer names")
-    ev.add_argument("--k", type=int, default=None, help="largest k to report (default 5)")
-    ev.add_argument("--threshold", type=float, default=None)
+    ev.add_argument("--scorers", type=_scorer_list, default="rht-pg,rht,nsigma,dfs,ideal",
+                    help="comma-separated scorer names (default %(default)s)")
+    ev.add_argument("--k", type=int, default=evaluation.DEFAULT_K,
+                    help="largest k to report (default 5)")
+    ev.add_argument("--threshold", type=float, default=scoring.ABNORMAL_THRESHOLD)
     _add_window_flags(ev)
     ev.add_argument("--out", default=None, help="report.json path (default inside dataset)")
-    ev.add_argument("--jobs", type=int, default=None, help="worker processes")
+    ev.add_argument("--jobs", type=int, default=0, help="worker processes (default one per CPU)")
     ev.add_argument("--config", help="JSON file with fallback option values")
     ev.set_defaults(func=cmd_evaluate)
     return parser
 
 
-def _add_window_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--t-ref", type=int, default=None, help="reference minutes (default 120)")
-    sub.add_argument("--t-delay", type=int, default=None, help="analysis delay minutes (default 5)")
-    sub.add_argument("--t-test", type=int, default=None, help="test minutes (default 10)")
+def _add_window_flags(sub: argparse.ArgumentParser, t_ref=None, t_delay=None, t_test=None) -> None:
+    """Window flags; a None default keeps each loaded case's stored windows."""
+    for flag, default, what in (("--t-ref", t_ref, "reference"),
+                                ("--t-delay", t_delay, "analysis delay"), ("--t-test", t_test, "test")):
+        shown = "the case's own" if default is None else default
+        sub.add_argument(flag, type=int, default=default, help=f"{what} minutes (default {shown})")
 
 
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return payload
-
-
-def _setting(args, config: dict, name: str, fallback):
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    return config.get(name, fallback)
-
-
-def _windows(args, config) -> tuple[int, int, int]:
-    return (
-        int(_setting(args, config, "t_ref", DEFAULT_T_REF)),
-        int(_setting(args, config, "t_delay", DEFAULT_T_DELAY)),
-        int(_setting(args, config, "t_test", DEFAULT_T_TEST)),
-    )
-
-
-def _window_overrides(args, config) -> dict:
-    """Window values the user actually supplied; a loaded case keeps its
-    own stored windows otherwise."""
-    overrides = {}
-    for name in ("t_ref", "t_delay", "t_test"):
-        value = getattr(args, name)
+def _config_tokens(sub: argparse.ArgumentParser, config: dict) -> list[str]:
+    """The flags of ``sub`` that ``config`` stands for.  A key is an option's
+    dest name, and ``null`` leaves the option unset."""
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
+        if action is None or action.dest != key or key in ("config", "help"):
+            sub.error(f"config key {key!r} is not an option of {sub.prog}")
+        if (action.type is _scorer_list and isinstance(value, list)
+                and all(isinstance(item, str) for item in value)):
+            value = ",".join(value)
         if value is None:
-            value = config.get(name)
-        if value is not None:
-            overrides[name] = int(value)
-    return overrides
+            continue
+        if isinstance(action, argparse.BooleanOptionalAction) and isinstance(value, bool):
+            tokens.append(flag if value else "--no-" + flag[2:])
+        elif isinstance(value, (bool, dict, list)):
+            # Never a bare flag: an option that takes a value would take the
+            # next token, maybe a positional, as it.
+            sub.error(f"config key {key!r} cannot be {json.dumps(value)}")
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _override_windows(case: Case, overrides: dict) -> Case:
-    return replace(case, **overrides) if overrides else case
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv``; with --config, parse again with the config's values as
+    flags put before the user's own, so that flags beat the config and the
+    config beats the parser's defaults."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        argv = list(sys.argv[1:] if argv is None else argv)
+        at = argv.index(args.command) + 1
+        (subparsers,) = parser._subparsers._group_actions
+        tokens = _config_tokens(subparsers.choices[args.command], read_json(args.config))
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
+    return args
 
 
-def _jobs(args, config) -> int:
-    """Worker processes: --jobs, the config's jobs, else one per CPU."""
-    return int(_setting(args, config, "jobs", 0) or 0) or (os.cpu_count() or 1)
+def _window_overrides(args) -> dict:
+    """Window values the user gave; a loaded case keeps its stored windows
+    otherwise."""
+    return {name: getattr(args, name) for name in ("t_ref", "t_delay", "t_test")
+            if getattr(args, name) is not None}
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    t_ref, t_delay, t_test = _windows(args, config)
-    jobs = _jobs(args, config)
+    jobs = args.jobs or os.cpu_count() or 1
     simulation.require_empty_dir(args.out)  # before the work, not after it
     dataset = simulation.generate_dataset(
-        n_node=args.nodes,
-        n_edge=args.edges,
-        n_graphs=int(_setting(args, config, "graphs", 10)),
-        cases_per_graph=int(_setting(args, config, "cases", 100)),
-        rng_seed=args.seed,
-        t_ref=t_ref,
-        t_delay=t_delay,
-        t_test=t_test,
-        poisson_rate=float(_setting(args, config, "poisson_rate", simulation.DEFAULT_POISSON_RATE)),
-        jobs=jobs,
-    )
+        n_node=args.nodes, n_edge=args.edges, n_graphs=args.graphs, cases_per_graph=args.cases,
+        rng_seed=args.seed, t_ref=args.t_ref, t_delay=args.t_delay, t_test=args.t_test,
+        poisson_rate=args.poisson_rate, jobs=jobs)
     simulation.save_dataset(dataset, args.out, jobs=jobs)
     print(f"wrote {len(dataset.graphs)} graphs x "
           f"{dataset.params['cases_per_graph']} cases to {args.out}")
@@ -177,39 +164,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    config = _load_config(args)
     spec = load_architecture(args.arch)
     graph = build_structural_graph(spec)
-    out = _setting(args, config, "out", "graph.json")
-    save_graph(graph, out)
+    save_graph(graph, args.out)
     if not graph.nodes:
         print("warning: architecture maps no metrics; graph is empty", file=sys.stderr)
-    print(f"wrote {out}: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
+    print(f"wrote {args.out}: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    config = _load_config(args)
-    scorer = _setting(args, config, "scorer", "circa")
     loaded = load_case(args.case_dir)
-    case = _override_windows(loaded.case, _window_overrides(args, config))
-    graph_path = _setting(args, config, "graph", None)
-    graph = load_graph(graph_path) if graph_path else None
-    table, ranking = scoring.run_scorer(
-        scorer,
-        case,
-        graph,
-        truth=loaded.truth,
-        threshold=float(_setting(args, config, "threshold", scoring.ABNORMAL_THRESHOLD)),
-        lagged=_setting(args, config, "lagged", None),
-        adjust=_setting(args, config, "adjust", None),
-    )
-    out = _setting(args, config, "out", None) or str(Path(args.case_dir) / "scores.json")
+    overrides = _window_overrides(args)
+    case = replace(loaded.case, **overrides) if overrides else loaded.case
+    graph = load_graph(args.graph) if args.graph else None
+    table, ranking = scoring.run_scorer(args.scorer, case, graph, truth=loaded.truth,
+                                        threshold=args.threshold, lagged=args.lagged,
+                                        adjust=args.adjust)
+    out = args.out or str(Path(args.case_dir) / "scores.json")
     scoring.save_scores(out, table, ranking)
-    top = int(_setting(args, config, "top", 10))
-    print(f"{scorer} ranking for {args.case_dir} (top {top}):")
+    print(f"{args.scorer} ranking for {args.case_dir} (top {args.top}):")
     print(f"{'rank':<5} {'metric':<24} {'raw':>10} {'adjusted':>10}")
-    for position, (metric, _) in enumerate(ranking[:top], start=1):
+    for position, (metric, _) in enumerate(ranking[:args.top], start=1):
         raw = table.raw.get(metric, float("nan"))
         adj = "" if table.adjusted is None else f"{table.adjusted[metric]:>10.3f}"
         print(f"{position:<5} {metric:<24} {raw:>10.3f} {adj:>10}")
@@ -218,29 +194,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args)
-    methods = _setting(args, config, "scorers", None) or ["rht-pg", "rht", "nsigma", "dfs", "ideal"]
-    if isinstance(methods, str):
-        methods = _scorer_list(methods)
-    jobs = _jobs(args, config)
+    jobs = args.jobs or os.cpu_count() or 1
     dataset = simulation.load_dataset(args.dataset_dir, jobs=jobs)
-    overrides = _window_overrides(args, config)
+    overrides = _window_overrides(args)
     if overrides:
         dataset = replace(dataset, graphs=tuple(
-            replace(g, cases=tuple(
-                replace(c, case=_override_windows(c.case, overrides))
-                for c in g.cases
-            ))
-            for g in dataset.graphs
-        ))
-    report = evaluation.evaluate(
-        dataset,
-        methods,
-        k_max=int(_setting(args, config, "k", evaluation.DEFAULT_K)),
-        threshold=float(_setting(args, config, "threshold", scoring.ABNORMAL_THRESHOLD)),
-        jobs=jobs,
-    )
-    out = _setting(args, config, "out", None) or str(Path(args.dataset_dir) / "report.json")
+            replace(g, cases=tuple(replace(c, case=replace(c.case, **overrides)) for c in g.cases))
+            for g in dataset.graphs))
+    report = evaluation.evaluate(dataset, args.scorers, k_max=args.k,
+                                 threshold=args.threshold, jobs=jobs)
+    out = args.out or str(Path(args.dataset_dir) / "report.json")
     evaluation.save_report(report, out)
     print(evaluation.format_table(report))
     for name, res in report.methods.items():
@@ -252,9 +215,8 @@ def cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
     except (RcakitError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -291,10 +291,23 @@ def save_graph(graph: CausalGraph, path) -> None:
     Path(path).write_text(f'{{\n  "edges": {edges},\n  "nodes": {nodes}\n}}\n')
 
 
+def read_json(path) -> dict:
+    """The JSON object in the file ``path``.  Raises MalformedInput naming the
+    file when its text does not decode, nests too deep or is no object."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise MalformedInput(f"{path}: must hold a JSON object")
+    return payload
+
+
 def load_graph(path) -> CausalGraph:
     """Read a graph.json; MalformedInput when it does not describe a DAG."""
+    payload = read_json(path)
     try:
-        return CausalGraph.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        return CausalGraph.from_json(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
 
@@ -386,6 +399,20 @@ def _first_bad_row(lines: list[str], first_line: int, n_fields: int) -> Optional
     return None
 
 
+_REQUIRED = object()
+
+
+def _case_field(meta: dict, name: str, kind: type, default=_REQUIRED):
+    """``meta[name]``, which must be of type ``kind`` (so a bool is no int),
+    or ``default`` when the field is absent and a default is given."""
+    if name not in meta and default is not _REQUIRED:
+        return default
+    value = meta[name]
+    if type(value) is not kind:
+        raise ValueError(f"case.json {name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_case(directory) -> LoadedCase:
     """Read a case directory written by save_case.
 
@@ -395,10 +422,8 @@ def load_case(directory) -> LoadedCase:
     files that do not describe a valid case.
     """
     directory = Path(directory)
+    meta = read_json(directory / "case.json")
     try:
-        meta = json.loads((directory / "case.json").read_text(encoding="utf-8"))
-        if not isinstance(meta, dict):
-            raise ValueError("case.json must hold a JSON object")
         with open(directory / "data.csv", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
@@ -422,23 +447,27 @@ def load_case(directory) -> LoadedCase:
             diffs = np.diff(timestamps)
             line = first_line + 1 + int(np.argmax(diffs != diffs[0]))
             raise ValueError(f"data.csv line {line}: timestamps are not evenly spaced")
-        roots = meta.get("root_causes") or []
-        if not isinstance(roots, list):
-            raise ValueError("root_causes must be a list of metric ids")
         case = Case(
             metrics=header[1:],
             values=table[:, 1:],
             start_time=timestamps[0],
             interval=steps.pop(),
-            detect_time=int(meta["detect_time"]),
-            sli=meta["sli"],
-            t_ref=int(meta.get("t_ref", DEFAULT_T_REF)),
-            t_delay=int(meta.get("t_delay", DEFAULT_T_DELAY)),
-            t_test=int(meta.get("t_test", DEFAULT_T_TEST)),
+            detect_time=_case_field(meta, "detect_time", int),
+            sli=_case_field(meta, "sli", str),
+            t_ref=_case_field(meta, "t_ref", int, DEFAULT_T_REF),
+            t_delay=_case_field(meta, "t_delay", int, DEFAULT_T_DELAY),
+            t_test=_case_field(meta, "t_test", int, DEFAULT_T_TEST),
         )
+        roots = _case_field(meta, "root_causes", list, [])
+        if not all(isinstance(root, str) for root in roots):
+            raise ValueError(f"case.json root_causes must be metric names, got {roots!r}")
+        unknown = sorted(set(roots).difference(case.metrics))
+        if unknown:
+            raise ValueError(f"case.json root_causes name no column: {', '.join(unknown)}")
         truth = GroundTruth(frozenset(roots)) if roots else None
+        fault_type = _case_field(meta, "fault_type", str, None)
     except KeyError as exc:
         raise MalformedInput(f"{directory}/case.json: missing {exc}") from exc
     except (TypeError, ValueError, csv.Error) as exc:
         raise MalformedInput(f"{directory}: {exc}") from exc
-    return LoadedCase(case=case, truth=truth, fault_type=meta.get("fault_type"))
+    return LoadedCase(case=case, truth=truth, fault_type=fault_type)

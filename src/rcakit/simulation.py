@@ -35,6 +35,7 @@ from .model import (
     MetricId,
     load_case,
     load_graph,
+    read_json,
     restore_read_only,
     save_case,
     save_graph,
@@ -496,12 +497,7 @@ def load_dataset(directory, jobs: Optional[int] = None) -> SimulatedDataset:
     """
     directory = Path(directory)
     manifest = directory / "manifest.json"
-    try:
-        params = json.loads(manifest.read_text(encoding="utf-8")) if manifest.exists() else {}
-        if not isinstance(params, dict):
-            raise ValueError("must hold a JSON object")
-    except ValueError as exc:
-        raise MalformedInput(f"{manifest}: {exc}") from exc
+    params = read_json(manifest) if manifest.exists() else {}
     found = []
     for graph_dir in sorted(p for p in directory.iterdir() if p.is_dir()):
         graph_file = graph_dir / "graph.json"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,9 +236,104 @@ def test_config_file_precedence(dataset_dir, tmp_path, capsys):
     assert "top 1" in capsys.readouterr().out
 
 
+def write_config(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("analyze", {"lagged": "no"}, "--lagged"),      # was read as lagged=True
+    ("analyze", {"lagged": 1}, "--lagged"),
+    ("evaluate", {"k": 2.7}, "--k"),                # was truncated to 2
+    ("analyze", {"t_ref": 60.5}, "--t-ref"),        # was truncated to 60
+    ("evaluate", {"jobs": True}, "'jobs'"),         # was read as 1
+    ("analyze", {"top": False}, "'top'"),
+    ("analyze", {"bogus": 1}, "'bogus'"),           # was ignored
+    ("evaluate", {"scorers": 5}, "--scorers"),      # was a TypeError traceback
+    ("evaluate", {"scorers": [["rht"]]}, "'scorers'"),
+    ("evaluate", {"scorers": []}, "--scorers"),
+    ("analyze", {"out": {"a": 1}}, "'out'"),
+    ("analyze", {"graph": ["g.json"]}, "'graph'"),  # a list only for scorers
+    ("analyze", {"scorer": "bogus"}, "--scorer"),   # was exit 1
+    ("analyze", {"thresh": 2.0}, "'thresh'"),       # an abbreviation is no key
+    ("analyze", {"t-ref": 30}, "'t-ref'"),          # nor an option string
+    ("analyze", {"no_lagged": True}, "'no_lagged'"),
+    ("analyze", {"config": "other.json"}, "'config'"),
+    ("analyze", {"help": True}, "'help'"),
+    ("analyze", {"case_dir": "elsewhere"}, "'case_dir'"),
+    ("evaluate", {"dataset_dir": "elsewhere"}, "'dataset_dir'"),
+    ("analyze", {"jobs": 1}, "'jobs'"),             # an option of another command
+], ids=["lagged-string", "lagged-number", "float-k", "float-t-ref", "bool-jobs", "bool-top",
+        "unknown-key", "int-scorers", "nested-scorers", "empty-scorers", "dict-out", "list-graph",
+        "unknown-scorer", "abbreviation", "option-spelling", "negated-flag", "config-key",
+        "help-key", "positional-case-dir", "positional-dataset-dir", "other-command-key"])
+def test_config_value_is_a_usage_error(dataset_dir, tmp_path, capsys, command, config, named):
+    target = dataset_dir / "g0" / "c0" if command == "analyze" else dataset_dir
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as err:
+        main([command, str(target), "--config", write_config(tmp_path / "c.json", config),
+              "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert named in captured.err.splitlines()[-1] and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def analyze_raw(dataset_dir, tmp_path, *extra):
+    case_dir = dataset_dir / "g0" / "c0"
+    out = tmp_path / "scores.json"
+    assert main(["analyze", str(case_dir), "--graph", str(dataset_dir / "g0" / "graph.json"),
+                 "--scorer", "rht", *extra, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["raw"]
+
+
+def test_config_lagged_loses_to_no_lagged_flag(dataset_dir, tmp_path):
+    config = write_config(tmp_path / "c.json", {"lagged": True})
+    unlagged = analyze_raw(dataset_dir, tmp_path)
+    lagged = analyze_raw(dataset_dir, tmp_path, "--lagged")
+    assert lagged != unlagged
+    assert analyze_raw(dataset_dir, tmp_path, "--config", config) == lagged
+    assert analyze_raw(dataset_dir, tmp_path, "--config", config, "--no-lagged") == unlagged
+    assert analyze_raw(dataset_dir, tmp_path, "--no-lagged", "--config", config) == unlagged
+
+
+def test_config_null_is_unset(dataset_dir, tmp_path, capsys):
+    config = write_config(tmp_path / "c.json", {"scorer": None, "top": None, "lagged": None,
+                                                "t_ref": None, "out": None})
+    case_dir = dataset_dir / "g0" / "c1"
+    runs = []
+    for extra in ([], ["--config", config]):
+        assert main(["analyze", str(case_dir), "--graph", str(dataset_dir / "g0" / "graph.json"),
+                     *extra]) == 0
+        runs.append((capsys.readouterr().out, (case_dir / "scores.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].startswith(f"circa ranking for {case_dir} (top 10):")
+
+
+def test_config_lists_scorers_and_sets_booleans(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    config = write_config(tmp_path / "c.json", {"scorers": ["rht", "ideal"], "jobs": 1, "k": 3})
+    assert main(["evaluate", str(dataset_dir), "--config", config, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload["methods"]) == {"rht", "ideal"}
+    assert len(payload["methods"]["rht"]["ac_mean"]) == 3
+    config = write_config(tmp_path / "c.json", {"lagged": False, "top": 2, "scorer": "rht"})
+    capsys.readouterr()
+    assert main(["analyze", str(dataset_dir / "g0" / "c0"), "--graph",
+                 str(dataset_dir / "g0" / "graph.json"), "--config", config,
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert "rht ranking" in capsys.readouterr().out
+    assert json.loads((tmp_path / "s.json").read_text())["raw"] == analyze_raw(dataset_dir, tmp_path)
+
+
 GOOD_META = '{"detect_time": 2, "t_ref": 2, "t_delay": 0, "t_test": 1, "sli": "a"}'
 GOOD_META_ROOTS = GOOD_META[:-1] + ', "root_causes": ["b"]}'
 GOOD_CSV = "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"
+
+
+def meta_with(**fields):
+    """GOOD_META with ``fields`` set."""
+    return json.dumps({**json.loads(GOOD_META), **fields})
 
 
 @pytest.mark.parametrize("meta, data, where", [
@@ -261,10 +360,27 @@ GOOD_CSV = "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n2,3.0,5.0\n"
     (GOOD_META, 'timestamp,"a,b\n' + "0,1.0,2.0\n" * 15000, None),      # quote never closed
     (GOOD_META, "timestamp,a,b\n0,1.0,2.0\n1,2.0,3.0\n3,3.0,5.0\n",
      "data.csv line 4"),                                                  # uneven spacing
+    (meta_with(detect_time=2.5), GOOD_CSV, "detect_time"),                # not truncated to 2
+    (meta_with(detect_time="2"), GOOD_CSV, "detect_time"),
+    (meta_with(detect_time=True), GOOD_CSV, "detect_time"),               # a bool is no int
+    (meta_with(t_ref=2.0), GOOD_CSV, "t_ref"),
+    (meta_with(t_delay=False), GOOD_CSV, "t_delay"),
+    (meta_with(t_test="1"), GOOD_CSV, "t_test"),
+    (meta_with(sli=1), GOOD_CSV, "sli"),
+    (meta_with(sli="zz"), GOOD_CSV, "sli"),                               # names no column
+    (meta_with(root_causes=["zz"]), GOOD_CSV, "root_causes"),             # names no column
+    (meta_with(root_causes=[1]), GOOD_CSV, "root_causes"),
+    (meta_with(root_causes="b"), GOOD_CSV, "root_causes"),
+    (meta_with(root_causes=None), GOOD_CSV, "root_causes"),
+    (meta_with(fault_type={"a": 1}), GOOD_CSV, "fault_type"),
+    (meta_with(fault_type=7), GOOD_CSV, "fault_type"),
 ], ids=["blank-row", "ragged-row", "json-not-object", "no-detect-time", "no-sli",
         "duplicate-column", "comment-row", "whitespace-row", "hash-in-row",
         "fractional-timestamp", "trailing-comma", "short-first-row", "short-rows",
-        "underscore-number", "unclosed-quote", "uneven-timestamps"])
+        "underscore-number", "unclosed-quote", "uneven-timestamps",
+        "float-detect-time", "string-detect-time", "bool-detect-time", "float-t-ref",
+        "bool-t-delay", "string-t-test", "int-sli", "unknown-sli", "unknown-root",
+        "int-root", "string-roots", "null-roots", "dict-fault-type", "int-fault-type"])
 def test_analyze_malformed_case_is_an_error(tmp_path, capsys, meta, data, where):
     case_dir = tmp_path / "case"
     case_dir.mkdir()
@@ -340,7 +456,8 @@ def write_one_case_dataset(root, manifest, meta):
     ("[1]", GOOD_META_ROOTS, "manifest.json"),
     ("{not json", GOOD_META_ROOTS, "manifest.json"),
     ('{"seed": 1}', GOOD_META, "c0/case.json"),
-], ids=["manifest-not-object", "manifest-not-json", "no-root-causes"])
+    ('{"seed": 1}', meta_with(root_causes=["b"], fault_type={"a": 1}), "fault_type"),
+], ids=["manifest-not-object", "manifest-not-json", "no-root-causes", "dict-fault-type"])
 def test_evaluate_malformed_dataset_names_the_file(tmp_path, capsys, manifest, meta, culprit):
     write_one_case_dataset(tmp_path / "ds", manifest, meta)
     with pytest.raises(MalformedInput, match=culprit):
@@ -387,3 +504,34 @@ def test_evaluate_pooled_load_error_reaches_the_cli(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert str(bad) in err and "data.csv line 3" in err
     assert not (tmp_path / "report.json").exists()
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", [DEEP_JSON, "[1]", "{"], ids=["deep", "not-an-object", "not-json"])
+@pytest.mark.parametrize("bad, command", [
+    ("ds/g0/graph.json", "analyze"),
+    ("ds/g0/c0/case.json", "analyze"),
+    ("ds/manifest.json", "evaluate"),
+    ("config.json", "evaluate"),
+], ids=["graph", "case", "manifest", "config"])
+def test_json_reader_error_is_one_line(tmp_path, bad, command, text):
+    # A subprocess, so that the whole of stderr and the exit code are seen.
+    write_one_case_dataset(tmp_path / "ds", '{"seed": 1}', GOOD_META_ROOTS)
+    (tmp_path / "config.json").write_text('{"jobs": 1}')
+    bad = tmp_path / bad
+    bad.write_text(text)
+    argv = {"analyze": ["analyze", "ds/g0/c0", "--graph", "ds/g0/graph.json"],
+            "evaluate": ["evaluate", "ds", "--config", "config.json"]}[command]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "rcakit.cli", *argv, "--out", "out.json"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(bad.relative_to(tmp_path)) in lines[0]
+    assert not (tmp_path / "out.json").exists()
