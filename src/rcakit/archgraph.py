@@ -107,40 +107,19 @@ _WITHIN_SERVICE_EDGES = (
 )
 
 
-def _check_call_graph(services: Sequence[ServiceNode]) -> dict[str, tuple[str, ...]]:
-    """Validate the call graph and return name -> callees, including
-    implicitly declared leaf services."""
-    callees_of: dict[str, tuple[str, ...]] = {}
+def _call_graph(services: Sequence[ServiceNode]) -> CausalGraph:
+    """The call graph, caller to callee, over the declared services and
+    their callees; a callee declared nowhere is a leaf service."""
+    declared: set[str] = set()
     for svc in services:
-        if svc.service in callees_of:
+        if svc.service in declared:
             raise ValueError(f"service {svc.service!r} declared twice")
-        callees_of[svc.service] = svc.callees
-    for svc in services:
-        for callee in svc.callees:
-            callees_of.setdefault(callee, ())
-    # Cycle check by depth-first search with a path marker.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in callees_of}
-    for root in sorted(callees_of):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(callees_of[root]))]
-        color[root] = GREY
-        while stack:
-            name, it = stack[-1]
-            advanced = False
-            for callee in it:
-                if color[callee] == GREY:
-                    raise CyclicCallGraph(f"call cycle through {callee!r}")
-                if color[callee] == WHITE:
-                    color[callee] = GREY
-                    stack.append((callee, iter(callees_of[callee])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[name] = BLACK
-                stack.pop()
-    return callees_of
+        declared.add(svc.service)
+    calls = [(svc.service, callee) for svc in services for callee in svc.callees]
+    try:
+        return CausalGraph(declared.union(callee for _, callee in calls), calls)
+    except ValueError as exc:
+        raise CyclicCallGraph(f"call {exc}") from exc
 
 
 def build_skeleton(services: Sequence[ServiceNode]) -> CausalGraph:
@@ -150,23 +129,19 @@ def build_skeleton(services: Sequence[ServiceNode]) -> CausalGraph:
     Callees that appear only on the right-hand side of a call are treated
     as leaf services.
     """
-    callees_of = _check_call_graph(services)
-    T, S, L, E = (MetaMetricDim.TRAFFIC, MetaMetricDim.SATURATION,
-                  MetaMetricDim.LATENCY, MetaMetricDim.ERRORS)
-    nodes = {MetaMetric(name, dim) for name in callees_of for dim in MetaMetricDim}
-    edges = set()
-    for name in callees_of:
-        for src, dst in _WITHIN_SERVICE_EDGES:
-            edges.add((MetaMetric(name, src), MetaMetric(name, dst)))
-    for caller, callees in callees_of.items():
-        for callee in callees:
-            # The caller's traffic drives the callee's traffic; every callee
-            # dimension stands in for the caller's saturation, feeding the
-            # caller's latency and errors.
-            edges.add((MetaMetric(caller, T), MetaMetric(callee, T)))
-            for dim in MetaMetricDim:
-                edges.add((MetaMetric(callee, dim), MetaMetric(caller, L)))
-                edges.add((MetaMetric(callee, dim), MetaMetric(caller, E)))
+    calls = _call_graph(services)
+    T, L, E = MetaMetricDim.TRAFFIC, MetaMetricDim.LATENCY, MetaMetricDim.ERRORS
+    nodes = {MetaMetric(name, dim) for name in calls.nodes for dim in MetaMetricDim}
+    edges = {(MetaMetric(name, src), MetaMetric(name, dst))
+             for name in calls.nodes for src, dst in _WITHIN_SERVICE_EDGES}
+    for caller, callee in calls.edges:
+        # The caller's traffic drives the callee's traffic; every callee
+        # dimension stands in for the caller's saturation, feeding the
+        # caller's latency and errors.
+        edges.add((MetaMetric(caller, T), MetaMetric(callee, T)))
+        for dim in MetaMetricDim:
+            edges.add((MetaMetric(callee, dim), MetaMetric(caller, L)))
+            edges.add((MetaMetric(callee, dim), MetaMetric(caller, E)))
     try:
         return CausalGraph(nodes, edges)
     except ValueError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -37,6 +38,22 @@ def _scorer_list(text: str) -> list[str]:
     return names
 
 
+def _checked(cast, ok, what: str):
+    """An argparse type: ``cast(text)``, refused unless ``ok`` holds for it."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names the type when the cast fails
+    return parse
+
+
+_positive = _checked(int, lambda value: value >= 1, "at least 1")
+_non_negative = _checked(int, lambda value: value >= 0, "at least 0")
+_finite = _checked(float, math.isfinite, "finite")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcakit",
@@ -47,14 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic labeled dataset")
     sim.add_argument("--nodes", type=int, required=True, help="metrics per graph")
     sim.add_argument("--edges", type=int, required=True, help="causal edges per graph")
-    sim.add_argument("--graphs", type=int, default=10, help="number of graphs (default 10)")
-    sim.add_argument("--cases", type=int, default=100, help="cases per graph (default 100)")
+    sim.add_argument("--graphs", type=_positive, default=10, help="number of graphs (default 10)")
+    sim.add_argument("--cases", type=_positive, default=100, help="cases per graph (default 100)")
     sim.add_argument("--seed", type=int, required=True, help="master RNG seed (mandatory)")
     sim.add_argument("--out", required=True, help="output dataset directory")
     _add_window_flags(sim, DEFAULT_T_REF, DEFAULT_T_DELAY, DEFAULT_T_TEST)
     sim.add_argument("--poisson-rate", type=float, default=simulation.DEFAULT_POISSON_RATE,
                      help="rate for (root count - 1) (default 1.0)")
-    sim.add_argument("--jobs", type=int, default=0, help="worker processes (default one per CPU)")
+    sim.add_argument("--jobs", type=_non_negative, default=0,
+                     help="worker processes (default one per CPU)")
     sim.add_argument("--config", help="JSON file with fallback option values")
     sim.set_defaults(func=cmd_simulate)
 
@@ -68,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("case_dir", help="directory with data.csv and case.json")
     an.add_argument("--graph", default=None, help="graph.json (unused by nsigma/ideal)")
     an.add_argument("--scorer", default="circa", choices=scoring.SCORER_NAMES)
-    an.add_argument("--threshold", type=float, default=scoring.ABNORMAL_THRESHOLD,
+    an.add_argument("--threshold", type=_finite, default=scoring.ABNORMAL_THRESHOLD,
                     help="abnormality threshold in sigmas (default 3.0)")
     an.add_argument("--lagged", action=argparse.BooleanOptionalAction, default=None,
                     help="override the scorer's lagged-self default")
@@ -76,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override descendant adjustment")
     _add_window_flags(an)
     an.add_argument("--out", default=None, help="scores.json path (default inside case dir)")
-    an.add_argument("--top", type=int, default=10, help="rows to print (default 10)")
+    an.add_argument("--top", type=_positive, default=10, help="rows to print (default 10)")
     an.add_argument("--config", help="JSON file with fallback option values")
     an.set_defaults(func=cmd_analyze)
 
@@ -84,12 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("dataset_dir", help="dataset directory from `simulate`")
     ev.add_argument("--scorers", type=_scorer_list, default="rht-pg,rht,nsigma,dfs,ideal",
                     help="comma-separated scorer names (default %(default)s)")
-    ev.add_argument("--k", type=int, default=evaluation.DEFAULT_K,
+    ev.add_argument("--k", type=_positive, default=evaluation.DEFAULT_K,
                     help="largest k to report (default 5)")
-    ev.add_argument("--threshold", type=float, default=scoring.ABNORMAL_THRESHOLD)
+    ev.add_argument("--threshold", type=_finite, default=scoring.ABNORMAL_THRESHOLD)
     _add_window_flags(ev)
     ev.add_argument("--out", default=None, help="report.json path (default inside dataset)")
-    ev.add_argument("--jobs", type=int, default=0, help="worker processes (default one per CPU)")
+    ev.add_argument("--jobs", type=_non_negative, default=0,
+                    help="worker processes (default one per CPU)")
     ev.add_argument("--config", help="JSON file with fallback option values")
     ev.set_defaults(func=cmd_evaluate)
     return parser

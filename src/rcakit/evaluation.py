@@ -9,7 +9,7 @@ standard deviation across graphs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,7 +44,6 @@ def ac_at_k(rankings: Sequence[Ranking], truths: Sequence[GroundTruth], k: int) 
 class MethodResult:
     """Aggregated evaluation of one scoring method."""
 
-    method: str
     ac_mean: tuple[float, ...]          # index k-1, k = 1..K
     ac_std: tuple[float, ...]           # std across graphs
     avg_at_k: float
@@ -69,26 +68,8 @@ class EvalReport:
     params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "n_graphs": self.n_graphs,
-            "n_cases": self.n_cases,
-            "params": self.params,
-            "methods": {
-                name: {
-                    "ac_mean": list(res.ac_mean),
-                    "ac_std": list(res.ac_std),
-                    "avg_at_k": res.avg_at_k,
-                    "mean_time_s": res.mean_time_s,
-                    "per_graph": {g: list(v) for g, v in sorted(res.per_graph.items())},
-                    "by_fault_type": res.by_fault_type,
-                    "n_cases": res.n_cases,
-                    "failures": [list(f) for f in res.failures],
-                    "note": res.note,
-                }
-                for name, res in self.methods.items()
-            },
-        }
+        """The report.json payload; tuples stand for JSON lists."""
+        return asdict(self)
 
 
 def _score_case(task) -> list[tuple[Optional[Ranking], float, Optional[str]]]:
@@ -112,6 +93,8 @@ def evaluate(
     counts that detector in full.  ``jobs`` > 1 scores cases on a process
     pool, timed on the worker that runs the case.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     if not dataset.graphs:
         raise EmptyCaseSet("dataset has no graphs")
     ks = range(1, k_max + 1)
@@ -149,7 +132,6 @@ def evaluate(
         ac_mean = stacked.mean(axis=0)
         ac_std = stacked.std(axis=0)
         results[method] = MethodResult(
-            method=method,
             ac_mean=tuple(float(v) for v in ac_mean),
             ac_std=tuple(float(v) for v in ac_std),
             avg_at_k=float(ac_mean.mean()),

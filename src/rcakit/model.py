@@ -182,10 +182,11 @@ class CausalGraph:
     """A directed acyclic graph over metric identifiers.
 
     Any hashable, ordered node type works; the architecture compiler
-    builds its skeleton over meta metrics with this class too.  Edges
-    point from cause (parent) to effect (child).  Construction
-    validates acyclicity; parent/children lookups and the topological
-    order are precomputed and deterministic.
+    builds its call graph over services and its skeleton over meta
+    metrics with this class too.  Edges point from cause (parent) to
+    effect (child).  Construction validates acyclicity, naming a cycle
+    when there is one; parent/children lookups and the topological order
+    are precomputed and deterministic.
     """
 
     __slots__ = ("nodes", "edges", "_parents", "_children", "_order")
@@ -196,8 +197,6 @@ class CausalGraph:
         for parent, child in self.edges:
             if parent not in self.nodes or child not in self.nodes:
                 raise ValueError(f"edge ({parent!r}, {child!r}) references a missing node")
-            if parent == child:
-                raise ValueError(f"self-loop on {parent!r}")
         parents: dict[MetricId, list[MetricId]] = {v: [] for v in self.nodes}
         children: dict[MetricId, list[MetricId]] = {v: [] for v in self.nodes}
         for parent, child in self.edges:
@@ -221,7 +220,14 @@ class CausalGraph:
                 if indeg[c] == 0:
                     heapq.heappush(ready, c)
         if len(order) != len(self.nodes):
-            raise ValueError("graph contains a cycle")
+            # Every node left over has a parent left over, so a walk up such
+            # parents from the smallest one comes back to a node it has seen.
+            walk, seen = [min(v for v in self.nodes if indeg[v])], {}
+            while walk[-1] not in seen:
+                seen[walk[-1]] = len(walk) - 1
+                walk.append(next(p for p in self._parents[walk[-1]] if indeg[p]))
+            cycle = " -> ".join(map(repr, reversed(walk[seen[walk[-1]]:])))
+            raise ValueError(f"graph contains a cycle: {cycle}")
         return tuple(order)
 
     def parents(self, node: MetricId) -> tuple[MetricId, ...]:
@@ -234,12 +240,6 @@ class CausalGraph:
         """All nodes, parents before children, lexicographic tie-break."""
         return self._order
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __contains__(self, node: MetricId) -> bool:
-        return node in self.nodes
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CausalGraph):
             return NotImplemented
@@ -250,16 +250,6 @@ class CausalGraph:
 
     def __repr__(self) -> str:
         return f"CausalGraph(nodes={len(self.nodes)}, edges={len(self.edges)})"
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": sorted(self.nodes),
-            "edges": [list(e) for e in sorted(self.edges)],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "CausalGraph":
-        return cls(payload["nodes"], [(str(p), str(c)) for p, c in payload["edges"]])
 
 
 def json_float(x: float) -> str:
@@ -282,8 +272,9 @@ def json_block(items: list[str], brackets: str) -> str:
 
 
 def save_graph(graph: CausalGraph, path) -> None:
-    """Write graph.json: the bytes of ``json.dumps(graph.to_json(), indent=2,
-    sort_keys=True)`` plus a newline."""
+    """Write graph.json: the bytes of ``json.dumps({"nodes": sorted nodes,
+    "edges": sorted [parent, child] lists}, indent=2, sort_keys=True)`` plus a
+    newline."""
     q = json.encoder.encode_basestring_ascii
     nodes = json_block([q(v) for v in sorted(graph.nodes)], "[]")
     edges = json_block([f"[\n      {q(p)},\n      {q(c)}\n    ]" for p, c in sorted(graph.edges)],
@@ -307,7 +298,7 @@ def load_graph(path) -> CausalGraph:
     """Read a graph.json; MalformedInput when it does not describe a DAG."""
     payload = read_json(path)
     try:
-        return CausalGraph.from_json(payload)
+        return CausalGraph(payload["nodes"], [(str(p), str(c)) for p, c in payload["edges"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
 
@@ -341,9 +332,10 @@ def window_index_ranges(case: Case) -> tuple[range, range]:
 
 
 @dataclass(frozen=True)
-class LoadedCase:
-    """A case read from disk, plus its optional labels."""
+class CaseRecord:
+    """A case and its optional labels; ``case_id`` names its directory."""
 
+    case_id: str
     case: Case
     truth: Optional[GroundTruth] = None
     fault_type: Optional[str] = None
@@ -413,8 +405,9 @@ def _case_field(meta: dict, name: str, kind: type, default=_REQUIRED):
     return value
 
 
-def load_case(directory) -> LoadedCase:
-    """Read a case directory written by save_case.
+def load_case(directory) -> CaseRecord:
+    """Read a case directory written by save_case; the record's
+    ``case_id`` is the directory's name.
 
     The metric columns of data.csv may come in any order.  The header row
     is CSV, so metric names may be quoted; each data row is an integer
@@ -470,4 +463,4 @@ def load_case(directory) -> LoadedCase:
         raise MalformedInput(f"{directory}/case.json: missing {exc}") from exc
     except (TypeError, ValueError, csv.Error) as exc:
         raise MalformedInput(f"{directory}: {exc}") from exc
-    return LoadedCase(case=case, truth=truth, fault_type=fault_type)
+    return CaseRecord(directory.name, case, truth, fault_type)

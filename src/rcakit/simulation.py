@@ -29,9 +29,9 @@ from .model import (
     DEFAULT_T_REF,
     DEFAULT_T_TEST,
     Case,
+    CaseRecord,
     CausalGraph,
     GroundTruth,
-    LoadedCase,
     MetricId,
     load_case,
     load_graph,
@@ -130,12 +130,6 @@ def propagation_matrix(dag: WeightedDag) -> np.ndarray:
     return np.linalg.solve(eye - dag.A, eye)
 
 
-def _as_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
-
-
 def generate_dag(n_node: int, n_edge: int, rng_seed) -> WeightedDag:
     """Draw a connected DAG with the requested node and edge counts.
 
@@ -153,7 +147,7 @@ def generate_dag(n_node: int, n_edge: int, rng_seed) -> WeightedDag:
             f"{n_edge} edges infeasible for {n_node} nodes "
             f"(valid range: [{n_node - 1}, {max_edges}])"
         )
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     edges: list[tuple[int, int]] = []
     used = set()
     for i in range(1, n_node):
@@ -193,7 +187,7 @@ def simulate_matrix(dag: WeightedDag, length: int, rng_seed) -> np.ndarray:
     """Simulate the autoregression; returns a (length, n) matrix."""
     if length < 2:
         raise ValueError("length must be at least 2 samples")
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     W = dag.W
     noise = rng.standard_normal((length, dag.n)) * dag.sigma
     X = np.empty((length, dag.n))
@@ -280,10 +274,6 @@ def _reference_std(X: np.ndarray, at_index: int, t_ref: int, t_test: int) -> np.
     return np.maximum(sigma_hat, 1e-12)
 
 
-def _draw_alpha_magnitudes(rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.exponential(ALPHA_SCALE, size=size)
-
-
 def _sample_fault(dag: WeightedDag, sigma_hat: np.ndarray,
                   rng: np.random.Generator, poisson_rate: float,
                   max_retries: int = 100) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +284,7 @@ def _sample_fault(dag: WeightedDag, sigma_hat: np.ndarray,
     for _ in range(max_retries):
         size = draw_root_count(rng, dag.n, poisson_rate)
         roots = np.sort(rng.choice(np.arange(1, dag.n), size=size, replace=False))
-        magnitudes = _draw_alpha_magnitudes(rng, size)
+        magnitudes = rng.exponential(ALPHA_SCALE, size=size)
         signs = rng.integers(0, 2, size=size) * 2 - 1
         alpha = magnitudes * signs
         effect = float(dag.W[0, roots] @ (alpha * dag.sigma[roots]))
@@ -305,16 +295,6 @@ def _sample_fault(dag: WeightedDag, sigma_hat: np.ndarray,
     raise NoEffectiveFault(
         f"no sampled root set moved the SLI after {max_retries} attempts"
     )
-
-
-@dataclass(frozen=True)
-class CaseRecord:
-    """One labeled case of a simulated dataset."""
-
-    case_id: str
-    case: Case
-    truth: GroundTruth
-    fault_type: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -356,7 +336,7 @@ def generate_case(dag: WeightedDag, rng_seed,
     the expected SLI deviation reaches three reference standard
     deviations.  Rows before the fault are the unfaulted simulation.
     """
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     length = t_ref + t_delay + 1
     X = simulate_matrix(dag, length, rng)
     at_index = t_ref  # detection coincides with fault start
@@ -394,12 +374,7 @@ def _case_record(task) -> CaseRecord:
         t_ref=t_ref, t_delay=t_delay, t_test=t_test, poisson_rate=poisson_rate,
     )
     truth = GroundTruth(frozenset(metric_name(i, dag.n) for i in fault.root_causes))
-    return CaseRecord(
-        case_id=case_id,
-        case=case,
-        truth=truth,
-        fault_type=fault.fault_type.value,
-    )
+    return CaseRecord(case_id, case, truth, fault.fault_type.value)
 
 
 def generate_dataset(
@@ -482,10 +457,10 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
 
 
 def _load_record(case_dir: Path) -> CaseRecord:
-    loaded: LoadedCase = load_case(case_dir)
-    if loaded.truth is None:
+    record = load_case(case_dir)
+    if record.truth is None:
         raise MalformedInput(f"{case_dir}/case.json: dataset cases must carry root_causes")
-    return CaseRecord(case_dir.name, loaded.case, loaded.truth, loaded.fault_type)
+    return record
 
 
 def load_dataset(directory, jobs: Optional[int] = None) -> SimulatedDataset:

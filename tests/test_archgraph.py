@@ -1,9 +1,11 @@
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 import yaml
@@ -483,3 +485,54 @@ def test_skeleton_topological_order_matches_networkx():
     for services in architectures:
         skeleton = build_skeleton(services)
         assert skeleton.topological_order() == lexicographic_networkx_order(skeleton)
+
+
+NAMES = [f"s{i}" for i in range(8)]
+
+
+@st.composite
+def service_lists(draw):
+    """Services over up to eight names, each calling up to three names.  A
+    third of the draws call only later names, so the call graph is acyclic
+    and may call names declared nowhere; a third call other declared
+    services; a third may also call the caller itself."""
+    mode = draw(st.sampled_from(["later", "other", "any"]))
+    declared = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=6))
+    services = []
+    for name in declared:
+        pool = {"later": NAMES[NAMES.index(name) + 1:], "any": declared,
+                "other": [other for other in declared if other != name]}[mode]
+        callees = draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+        services.append(ServiceNode(name, tuple(callees)))
+    return services
+
+
+@settings(max_examples=300, deadline=None)
+@given(services=service_lists(), data=st.data())
+def test_call_graph_and_compiler_match_networkx(services, data):
+    calls = nx.DiGraph()
+    calls.add_nodes_from(svc.service for svc in services)
+    calls.add_edges_from((svc.service, callee) for svc in services for callee in svc.callees)
+    if not nx.is_directed_acyclic_graph(calls):
+        with pytest.raises(CyclicCallGraph) as err:
+            build_skeleton(services)
+        message = str(err.value)
+        assert message.startswith("call graph contains a cycle: ")
+        cycle = re.findall(r"'([^']*)'", message)
+        # a closed walk along call edges that repeats no other service
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert len(set(cycle)) == len(cycle) - 1
+        assert all(calls.has_edge(caller, callee) for caller, callee in zip(cycle, cycle[1:]))
+        return
+    metas = [MetaMetric(name, dim) for name in sorted(calls.nodes) for dim in MetaMetricDim]
+    metric_map = {}
+    if metas:
+        for i in range(data.draw(st.integers(0, 15), label="metrics")):
+            metric_map[f"m{i}"] = frozenset(data.draw(
+                st.lists(st.sampled_from(metas), min_size=1, max_size=3), label=f"m{i}"))
+    graph = build_structural_graph(ArchitectureSpec(services, metric_map))
+    compiled = nx.DiGraph(list(graph.edges))
+    compiled.add_nodes_from(graph.nodes)
+    assert set(compiled.nodes) == set(metric_map)
+    assert nx.is_directed_acyclic_graph(compiled)
+    assert graph.topological_order() == lexicographic_networkx_order(graph)

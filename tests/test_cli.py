@@ -263,16 +263,40 @@ def write_config(path, payload):
     ("analyze", {"case_dir": "elsewhere"}, "'case_dir'"),
     ("evaluate", {"dataset_dir": "elsewhere"}, "'dataset_dir'"),
     ("analyze", {"jobs": 1}, "'jobs'"),             # an option of another command
+    # out of range; a list is given as flags rather than as a config file
+    ("evaluate", {"k": 0}, "--k"),                  # was exit 1, blaming rht-pg
+    ("evaluate", ["--k=0"], "--k"),
+    ("analyze", {"top": -1}, "--top"),              # was printed under "(top -1)"
+    ("analyze", ["--top=-1"], "--top"),
+    ("analyze", {"threshold": float("nan")}, "--threshold"),  # turned adjustment off
+    ("analyze", ["--threshold=nan"], "--threshold"),
+    ("evaluate", {"threshold": float("inf")}, "--threshold"),
+    ("evaluate", ["--threshold=-inf"], "--threshold"),
+    ("evaluate", {"jobs": -3}, "--jobs"),           # ran serially
+    ("evaluate", ["--jobs=-3"], "--jobs"),
+    ("simulate", {"jobs": -1}, "--jobs"),
+    ("simulate", {"graphs": 0}, "--graphs"),        # wrote an empty dataset
+    ("simulate", ["--graphs=0"], "--graphs"),
+    ("simulate", {"cases": 0}, "--cases"),
+    ("simulate", ["--cases=-2"], "--cases"),
 ], ids=["lagged-string", "lagged-number", "float-k", "float-t-ref", "bool-jobs", "bool-top",
         "unknown-key", "int-scorers", "nested-scorers", "empty-scorers", "dict-out", "list-graph",
         "unknown-scorer", "abbreviation", "option-spelling", "negated-flag", "config-key",
-        "help-key", "positional-case-dir", "positional-dataset-dir", "other-command-key"])
+        "help-key", "positional-case-dir", "positional-dataset-dir", "other-command-key",
+        "zero-k", "flag-zero-k", "negative-top", "flag-negative-top", "nan-threshold",
+        "flag-nan-threshold", "inf-threshold", "flag-inf-threshold", "negative-jobs",
+        "flag-negative-jobs", "simulate-negative-jobs", "zero-graphs", "flag-zero-graphs",
+        "zero-cases", "flag-negative-cases"])
 def test_config_value_is_a_usage_error(dataset_dir, tmp_path, capsys, command, config, named):
-    target = dataset_dir / "g0" / "c0" if command == "analyze" else dataset_dir
+    argv = {"analyze": [str(dataset_dir / "g0" / "c0")], "evaluate": [str(dataset_dir)],
+            "simulate": ["--nodes=10", "--edges=20", "--seed=1"]}[command]
+    if isinstance(config, list):
+        argv += config
+    else:
+        argv += ["--config", write_config(tmp_path / "c.json", config)]
     out = tmp_path / "out.json"
     with pytest.raises(SystemExit) as err:
-        main([command, str(target), "--config", write_config(tmp_path / "c.json", config),
-              "--out", str(out)])
+        main([command, *argv, "--out", str(out)])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert named in captured.err.splitlines()[-1] and "Traceback" not in captured.err
@@ -430,9 +454,13 @@ def test_graph_command_rejects_scalar_callees(tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
-@pytest.mark.parametrize("graph", ['[1]', '{"nodes": ["a"]}', '{"nodes": ["a"], "edges": [["a"]]}'],
-                         ids=["not-an-object", "no-edges", "short-edge"])
-def test_analyze_malformed_graph_is_an_error(tmp_path, capsys, graph):
+@pytest.mark.parametrize("graph, named", [
+    ('[1]', ()),
+    ('{"nodes": ["a"]}', ()),
+    ('{"nodes": ["a"], "edges": [["a"]]}', ()),
+    ('{"nodes": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}', ("'a' -> 'b' -> 'a'",)),
+], ids=["not-an-object", "no-edges", "short-edge", "cyclic"])
+def test_analyze_malformed_graph_is_an_error(tmp_path, capsys, graph, named):
     case_dir = tmp_path / "case"
     case_dir.mkdir()
     (case_dir / "case.json").write_text(GOOD_META)
@@ -440,7 +468,8 @@ def test_analyze_malformed_graph_is_an_error(tmp_path, capsys, graph):
     (tmp_path / "graph.json").write_text(graph)
     assert main(["analyze", str(case_dir), "--graph", str(tmp_path / "graph.json"),
                  "--scorer", "rht", "--out", str(tmp_path / "scores.json")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(text in err for text in named)
 
 
 def write_one_case_dataset(root, manifest, meta):
@@ -535,3 +564,25 @@ def test_json_reader_error_is_one_line(tmp_path, bad, command, text):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert str(bad.relative_to(tmp_path)) in lines[0]
     assert not (tmp_path / "out.json").exists()
+
+
+def test_stdout_is_only_the_result_with_a_worker_pool(tmp_path):
+    # A subprocess, so that anything written to the real stdout by a worker
+    # or at interpreter exit is seen too: a caller reads the last line.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def rcakit(*argv):
+        result = subprocess.run([sys.executable, "-m", "rcakit.cli", *argv, "--jobs", "2"],
+                                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+        return result.stdout
+
+    assert rcakit("simulate", "--nodes", "10", "--edges", "20", "--graphs", "2", "--cases", "9",
+                  "--seed", "5", "--out", "ds") == "wrote 2 graphs x 9 cases to ds\n"
+    lines = rcakit("evaluate", "ds", "--out", "report.json").splitlines(keepends=True)
+    assert [line.split()[0] for line in lines[:-2]] == ["Method", "rht-pg", "rht", "nsigma",
+                                                        "dfs", "ideal"]
+    assert lines[-2:] == ["note: dfs is a baseline reimplemented from a prose description\n",
+                          "wrote report.json\n"]

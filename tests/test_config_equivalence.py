@@ -44,8 +44,14 @@ def config_values(action):
         return st.lists(st.sampled_from(scoring.SCORER_NAMES), min_size=1, max_size=4)
     if action.type is int:
         return st.integers()
+    if action.type is cli._positive:
+        return st.integers(min_value=1)
+    if action.type is cli._non_negative:
+        return st.integers(min_value=0)
     if action.type is float:
         return st.floats(allow_nan=False)
+    if action.type is cli._finite:
+        return st.floats(allow_nan=False, allow_infinity=False)
     assert action.type is None, f"no config values for {action.option_strings}"
     return st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
 

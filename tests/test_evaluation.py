@@ -1,10 +1,11 @@
+import json
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from rcakit import scoring
+from rcakit import evaluation, scoring
 from rcakit.errors import EmptyCaseSet
 from rcakit.evaluation import ac_at_k, case_recall_at_k, evaluate, format_table, save_report
 from rcakit.model import GroundTruth
@@ -189,6 +190,23 @@ def test_report_json_and_save(tiny_dataset, tmp_path):
     assert "nsigma" in payload["methods"]
     save_report(report, tmp_path / "report.json")
     assert (tmp_path / "report.json").exists()
+    # the report.json schema: these keys, and no others
+    assert set(payload) == {"k_max", "n_graphs", "n_cases", "params", "methods"}
+    assert set(payload["methods"]["nsigma"]) == {
+        "ac_mean", "ac_std", "avg_at_k", "mean_time_s", "per_graph", "by_fault_type",
+        "n_cases", "failures", "note"}
+    assert (tmp_path / "report.json").read_text() == json.dumps(payload, indent=2,
+                                                                sort_keys=True) + "\n"
+
+
+def test_evaluate_refuses_k_below_one_before_scoring(tiny_dataset, monkeypatch):
+    def fail(*args):
+        raise AssertionError("scored a case")
+
+    monkeypatch.setattr(evaluation, "score_case", fail)
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            evaluate(tiny_dataset, ["nsigma"], k_max=k_max)
 
 
 def test_evaluate_empty_dataset():

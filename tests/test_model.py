@@ -163,6 +163,7 @@ def test_case_roundtrip(tmp_path):
     truth = GroundTruth(frozenset({"a", "c"}))
     save_case(tmp_path / "case0", case, truth, fault_type="Weak")
     loaded = load_case(tmp_path / "case0")
+    assert loaded.case_id == "case0"
     assert loaded.case == case
     assert loaded.truth == truth
     assert loaded.fault_type == "Weak"
@@ -172,6 +173,7 @@ def test_case_roundtrip_unlabeled(tmp_path):
     case = make_case({"a": np.arange(126.0)}, detect_time=0)
     save_case(tmp_path / "c", case)
     loaded = load_case(tmp_path / "c")
+    assert loaded.case_id == "c"
     assert loaded.case == case
     assert loaded.truth is None
     assert loaded.fault_type is None
@@ -325,8 +327,8 @@ def test_save_graph_bytes_match_json_dumps(graph):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
         save_graph(graph, path)
-        assert path.read_bytes() == (json.dumps(graph.to_json(), indent=2, sort_keys=True)
-                                     + "\n").encode()
+        payload = {"nodes": sorted(graph.nodes), "edges": [list(e) for e in sorted(graph.edges)]}
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
         assert load_graph(path) == graph
 
 

@@ -243,6 +243,7 @@ def test_generate_dataset_reproducible():
     for ga, gb in zip(a.graphs, b.graphs):
         assert (ga.dag.A == gb.dag.A).all()
         for ca, cb in zip(ga.cases, gb.cases):
+            assert ca.case_id == cb.case_id
             assert ca.case == cb.case
             assert ca.truth == cb.truth
             assert ca.fault_type == cb.fault_type
@@ -283,6 +284,7 @@ def test_dataset_disk_roundtrip(tmp_path):
         assert np.array_equal(gr.dag.A, ga.dag.A)
         assert np.array_equal(gr.dag.sigma, ga.dag.sigma)
         for ca, cb in zip(ga.cases, gb.cases):
+            assert ca.case_id == cb.case_id
             assert ca.case == cb.case
             assert ca.truth == cb.truth
             assert ca.fault_type == cb.fault_type
@@ -323,9 +325,10 @@ def test_load_dataset_reads_graph_json_with_weights(tmp_path):
     save_dataset(ds, tmp_path / "ds")
     record = ds.graphs[0]
     # the layout older versions wrote: the topology plus A, sigma and beta
-    payload = dict(record.graph.to_json(), A=record.dag.A.tolist(),
+    graph_file = tmp_path / "ds" / "g0" / "graph.json"
+    payload = dict(json.loads(graph_file.read_text()), A=record.dag.A.tolist(),
                    sigma=record.dag.sigma.tolist(), beta=record.dag.beta)
-    (tmp_path / "ds" / "g0" / "graph.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    graph_file.write_text(json.dumps(payload, indent=2, sort_keys=True))
     loaded = load_dataset(tmp_path / "ds").graphs[0]
     assert loaded.graph == record.graph
     assert loaded.dag is None
