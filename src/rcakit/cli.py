@@ -52,6 +52,7 @@ def _checked(cast, ok, what: str):
 _positive = _checked(int, lambda value: value >= 1, "at least 1")
 _non_negative = _checked(int, lambda value: value >= 0, "at least 0")
 _finite = _checked(float, math.isfinite, "finite")
+_rate = _checked(float, lambda value: math.isfinite(value) and value >= 0, "finite and at least 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,14 +63,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic labeled dataset")
-    sim.add_argument("--nodes", type=int, required=True, help="metrics per graph")
+    sim.add_argument("--nodes", type=_positive, required=True, help="metrics per graph")
     sim.add_argument("--edges", type=int, required=True, help="causal edges per graph")
     sim.add_argument("--graphs", type=_positive, default=10, help="number of graphs (default 10)")
     sim.add_argument("--cases", type=_positive, default=100, help="cases per graph (default 100)")
-    sim.add_argument("--seed", type=int, required=True, help="master RNG seed (mandatory)")
+    sim.add_argument("--seed", type=_non_negative, required=True,
+                     help="master RNG seed (mandatory)")
     sim.add_argument("--out", required=True, help="output dataset directory")
     _add_window_flags(sim, DEFAULT_T_REF, DEFAULT_T_DELAY, DEFAULT_T_TEST)
-    sim.add_argument("--poisson-rate", type=float, default=simulation.DEFAULT_POISSON_RATE,
+    sim.add_argument("--poisson-rate", type=_rate, default=simulation.DEFAULT_POISSON_RATE,
                      help="rate for (root count - 1) (default 1.0)")
     sim.add_argument("--jobs", type=_non_negative, default=0,
                      help="worker processes (default one per CPU)")
@@ -88,10 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--scorer", default="circa", choices=scoring.SCORER_NAMES)
     an.add_argument("--threshold", type=_finite, default=scoring.ABNORMAL_THRESHOLD,
                     help="abnormality threshold in sigmas (default 3.0)")
-    an.add_argument("--lagged", action=argparse.BooleanOptionalAction, default=None,
-                    help="override the scorer's lagged-self default")
-    an.add_argument("--adjust", action=argparse.BooleanOptionalAction, default=None,
-                    help="override descendant adjustment")
     _add_window_flags(an)
     an.add_argument("--out", default=None, help="scores.json path (default inside case dir)")
     an.add_argument("--top", type=_positive, default=10, help="rows to print (default 10)")
@@ -136,9 +134,7 @@ def _config_tokens(sub: argparse.ArgumentParser, config: dict) -> list[str]:
             value = ",".join(value)
         if value is None:
             continue
-        if isinstance(action, argparse.BooleanOptionalAction) and isinstance(value, bool):
-            tokens.append(flag if value else "--no-" + flag[2:])
-        elif isinstance(value, (bool, dict, list)):
+        if isinstance(value, (bool, dict, list)):
             # Never a bare flag: an option that takes a value would take the
             # next token, maybe a positional, as it.
             sub.error(f"config key {key!r} cannot be {json.dumps(value)}")
@@ -198,16 +194,14 @@ def cmd_analyze(args) -> int:
     case = replace(loaded.case, **overrides) if overrides else loaded.case
     graph = load_graph(args.graph) if args.graph else None
     table, ranking = scoring.run_scorer(args.scorer, case, graph, truth=loaded.truth,
-                                        threshold=args.threshold, lagged=args.lagged,
-                                        adjust=args.adjust)
+                                        threshold=args.threshold)
     out = args.out or str(Path(args.case_dir) / "scores.json")
     scoring.save_scores(out, table, ranking)
     print(f"{args.scorer} ranking for {args.case_dir} (top {args.top}):")
     print(f"{'rank':<5} {'metric':<24} {'raw':>10} {'adjusted':>10}")
     for position, (metric, _) in enumerate(ranking[:args.top], start=1):
-        raw = table.raw.get(metric, float("nan"))
         adj = "" if table.adjusted is None else f"{table.adjusted[metric]:>10.3f}"
-        print(f"{position:<5} {metric:<24} {raw:>10.3f} {adj:>10}")
+        print(f"{position:<5} {metric:<24} {table.raw[metric]:>10.3f} {adj:>10}")
     print(f"wrote {out}")
     return 0
 

@@ -52,13 +52,7 @@ class ScoreTable:
         if bad.size:
             raise ValueError(f"raw score for {list(self.raw)[bad[0]]!r} must be finite and >= 0")
 
-    def best(self) -> dict[MetricId, float]:
-        """The scores rankings should use: adjusted when present."""
-        return self.adjusted if self.adjusted is not None else self.raw
-
-    def to_json(self, ranking: Optional[Ranking] = None) -> dict:
-        if ranking is None:
-            ranking = rank(self.best())
+    def to_json(self, ranking: Ranking) -> dict:
         return {
             "raw": {m: float(s) for m, s in sorted(self.raw.items())},
             "adjusted": None if self.adjusted is None
@@ -67,7 +61,7 @@ class ScoreTable:
         }
 
 
-def save_scores(path, table: ScoreTable, ranking: Optional[Ranking] = None) -> None:
+def save_scores(path, table: ScoreTable, ranking: Ranking) -> None:
     """Write scores.json: the bytes of ``json.dumps(table.to_json(ranking),
     indent=2, sort_keys=True)`` plus a newline."""
     payload = table.to_json(ranking)
@@ -232,13 +226,12 @@ def ideal_score(case: Case, truth: Optional[GroundTruth]) -> dict[MetricId, floa
 
 
 def score_case(case: Case, graph: Optional[CausalGraph], truth: Optional[GroundTruth],
-               methods, threshold: float = ABNORMAL_THRESHOLD,
-               lagged: Optional[bool] = None, adjust: Optional[bool] = None) -> list:
+               methods, threshold: float = ABNORMAL_THRESHOLD) -> list:
     """Run registered scorers on one case, computing each detector once.
 
     Per method, in order: ``((table, ranking), seconds)``, or ``(error, 0.0)``
     if it raised.  ``seconds`` count a shared detector in full, as if the
-    method ran alone.  ``lagged`` and ``adjust`` are run_scorer's overrides.
+    method ran alone.
     """
     detected: dict[str, tuple] = {}
     outcomes = []
@@ -247,12 +240,8 @@ def score_case(case: Case, graph: Optional[CausalGraph], truth: Optional[GroundT
             if name not in SCORERS:
                 raise ValueError(f"unknown scorer {name!r}; registered: {', '.join(SCORER_NAMES)}")
             detector, do_adjust, dfs = SCORERS[name]
-            rht = detector.startswith("rht")
-            if graph is None and (rht or dfs):
+            if graph is None and (detector.startswith("rht") or dfs):
                 raise ValueError(f"scorer {name!r} needs a causal graph")
-            if rht and lagged is not None:
-                detector = "rht-lagged" if lagged else "rht"
-            do_adjust = adjust if rht and adjust is not None else do_adjust
             if detector not in detected:
                 start = time.perf_counter()
                 try:
@@ -278,16 +267,15 @@ def score_case(case: Case, graph: Optional[CausalGraph], truth: Optional[GroundT
 
 def run_scorer(name: str, case: Case, graph: Optional[CausalGraph] = None,
                truth: Optional[GroundTruth] = None, threshold: float = ABNORMAL_THRESHOLD,
-               lagged: Optional[bool] = None, adjust: Optional[bool] = None,
                ) -> tuple[ScoreTable, Ranking]:
     """Run a registered scorer on one case and return scores plus ranking.
 
-    ``lagged`` and ``adjust`` override each scorer's defaults: rht uses
-    neither, rht-pg adds the lagged self feature, circa is rht plus
-    descendant adjustment, nsigma and ideal ignore the graph, and dfs
-    ranks via the traversal baseline fed by nsigma detections.
+    rht fits each metric on its parents, rht-pg adds the lagged self
+    feature, circa is rht plus descendant adjustment, nsigma and ideal
+    ignore the graph, and dfs ranks via the traversal baseline fed by
+    nsigma detections.
     """
-    [(outcome, _)] = score_case(case, graph, truth, [name], threshold, lagged, adjust)
+    [(outcome, _)] = score_case(case, graph, truth, [name], threshold)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rcakit.cli import main
+from rcakit.cli import build_parser, main
 from rcakit.errors import MalformedInput
 from rcakit.model import load_case
 from rcakit.simulation import load_dataset
@@ -242,8 +242,6 @@ def write_config(path, payload):
 
 
 @pytest.mark.parametrize("command, config, named", [
-    ("analyze", {"lagged": "no"}, "--lagged"),      # was read as lagged=True
-    ("analyze", {"lagged": 1}, "--lagged"),
     ("evaluate", {"k": 2.7}, "--k"),                # was truncated to 2
     ("analyze", {"t_ref": 60.5}, "--t-ref"),        # was truncated to 60
     ("evaluate", {"jobs": True}, "'jobs'"),         # was read as 1
@@ -279,14 +277,32 @@ def write_config(path, payload):
     ("simulate", ["--graphs=0"], "--graphs"),
     ("simulate", {"cases": 0}, "--cases"),
     ("simulate", ["--cases=-2"], "--cases"),
-], ids=["lagged-string", "lagged-number", "float-k", "float-t-ref", "bool-jobs", "bool-top",
+    ("simulate", {"seed": -1}, "--seed"),           # was numpy's message, exit 1
+    ("simulate", ["--seed=-1"], "--seed"),
+    ("simulate", {"poisson_rate": -1}, "--poisson-rate"),
+    ("simulate", ["--poisson-rate=-1"], "--poisson-rate"),
+    ("simulate", {"poisson_rate": float("nan")}, "--poisson-rate"),
+    ("simulate", ["--poisson-rate=nan"], "--poisson-rate"),
+    ("simulate", {"poisson_rate": float("inf")}, "--poisson-rate"),
+    ("simulate", ["--poisson-rate=inf"], "--poisson-rate"),
+    ("simulate", {"nodes": 0}, "--nodes"),
+    ("simulate", ["--nodes=0"], "--nodes"),
+    # a scorer is its registered name: no option redefines it
+    ("analyze", {"lagged": True}, "'lagged'"),
+    ("analyze", {"adjust": False}, "'adjust'"),
+    ("analyze", ["--lagged"], "--lagged"),
+    ("analyze", ["--no-adjust"], "--no-adjust"),
+], ids=["float-k", "float-t-ref", "bool-jobs", "bool-top",
         "unknown-key", "int-scorers", "nested-scorers", "empty-scorers", "dict-out", "list-graph",
         "unknown-scorer", "abbreviation", "option-spelling", "negated-flag", "config-key",
         "help-key", "positional-case-dir", "positional-dataset-dir", "other-command-key",
         "zero-k", "flag-zero-k", "negative-top", "flag-negative-top", "nan-threshold",
         "flag-nan-threshold", "inf-threshold", "flag-inf-threshold", "negative-jobs",
         "flag-negative-jobs", "simulate-negative-jobs", "zero-graphs", "flag-zero-graphs",
-        "zero-cases", "flag-negative-cases"])
+        "zero-cases", "flag-negative-cases", "negative-seed", "flag-negative-seed",
+        "negative-rate", "flag-negative-rate", "nan-rate", "flag-nan-rate", "inf-rate",
+        "flag-inf-rate", "zero-nodes", "flag-zero-nodes", "removed-lagged", "removed-adjust",
+        "flag-removed-lagged", "flag-removed-no-adjust"])
 def test_config_value_is_a_usage_error(dataset_dir, tmp_path, capsys, command, config, named):
     argv = {"analyze": [str(dataset_dir / "g0" / "c0")], "evaluate": [str(dataset_dir)],
             "simulate": ["--nodes=10", "--edges=20", "--seed=1"]}[command]
@@ -303,6 +319,21 @@ def test_config_value_is_a_usage_error(dataset_dir, tmp_path, capsys, command, c
     assert captured.out == "" and not out.exists()
 
 
+def test_option_surface():
+    # every option of every subcommand by dest, so a new knob is an edit here
+    (subparsers,) = build_parser()._subparsers._group_actions
+    surface = {name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+               for name, sub in subparsers.choices.items()}
+    windows = {"t_ref", "t_delay", "t_test"}
+    assert surface == {
+        "simulate": {"nodes", "edges", "graphs", "cases", "seed", "out", "poisson_rate", "jobs",
+                     "config"} | windows,
+        "graph": {"out", "config"},
+        "analyze": {"graph", "scorer", "threshold", "out", "top", "config"} | windows,
+        "evaluate": {"scorers", "k", "threshold", "out", "jobs", "config"} | windows,
+    }
+
+
 def analyze_raw(dataset_dir, tmp_path, *extra):
     case_dir = dataset_dir / "g0" / "c0"
     out = tmp_path / "scores.json"
@@ -311,19 +342,9 @@ def analyze_raw(dataset_dir, tmp_path, *extra):
     return json.loads(out.read_text())["raw"]
 
 
-def test_config_lagged_loses_to_no_lagged_flag(dataset_dir, tmp_path):
-    config = write_config(tmp_path / "c.json", {"lagged": True})
-    unlagged = analyze_raw(dataset_dir, tmp_path)
-    lagged = analyze_raw(dataset_dir, tmp_path, "--lagged")
-    assert lagged != unlagged
-    assert analyze_raw(dataset_dir, tmp_path, "--config", config) == lagged
-    assert analyze_raw(dataset_dir, tmp_path, "--config", config, "--no-lagged") == unlagged
-    assert analyze_raw(dataset_dir, tmp_path, "--no-lagged", "--config", config) == unlagged
-
-
 def test_config_null_is_unset(dataset_dir, tmp_path, capsys):
-    config = write_config(tmp_path / "c.json", {"scorer": None, "top": None, "lagged": None,
-                                                "t_ref": None, "out": None})
+    config = write_config(tmp_path / "c.json", {"scorer": None, "top": None, "t_ref": None,
+                                                "out": None})
     case_dir = dataset_dir / "g0" / "c1"
     runs = []
     for extra in ([], ["--config", config]):
@@ -341,7 +362,7 @@ def test_config_lists_scorers_and_sets_booleans(dataset_dir, tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert set(payload["methods"]) == {"rht", "ideal"}
     assert len(payload["methods"]["rht"]["ac_mean"]) == 3
-    config = write_config(tmp_path / "c.json", {"lagged": False, "top": 2, "scorer": "rht"})
+    config = write_config(tmp_path / "c.json", {"top": 2, "scorer": "rht"})
     capsys.readouterr()
     assert main(["analyze", str(dataset_dir / "g0" / "c0"), "--graph",
                  str(dataset_dir / "g0" / "graph.json"), "--config", config,

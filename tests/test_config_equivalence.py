@@ -52,6 +52,8 @@ def config_values(action):
         return st.floats(allow_nan=False)
     if action.type is cli._finite:
         return st.floats(allow_nan=False, allow_infinity=False)
+    if action.type is cli._rate:
+        return st.floats(min_value=0, allow_nan=False, allow_infinity=False)
     assert action.type is None, f"no config values for {action.option_strings}"
     return st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
 

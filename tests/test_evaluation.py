@@ -225,8 +225,10 @@ def composed_by_hand(name, case, graph, truth):
         table = ScoreTable(raw=nsigma_score(case))
         return table, (dfs_score(case, graph, table.raw) if name == "dfs" else rank(table.raw))
     raw = rht_score(case, graph, use_lagged_self=name == "rht-pg")
-    table = ScoreTable(raw=raw, adjusted=descendant_adjust(raw, graph) if name == "circa" else None)
-    return table, rank(table.best())
+    if name == "circa":
+        adjusted = descendant_adjust(raw, graph)
+        return ScoreTable(raw=raw, adjusted=adjusted), rank(adjusted)
+    return ScoreTable(raw=raw), rank(raw)
 
 
 ALL_SUBSETS = [list(c) for r in range(1, 7) for c in combinations(SCORER_NAMES, r)]

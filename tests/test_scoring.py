@@ -312,24 +312,24 @@ def assert_scores_bytes(table, ranking):
 @st.composite
 def score_tables(draw):
     """A table over arbitrary names, its adjusted scores absent or any
-    floats (overflowed ones included), and a ranking that is absent, the
-    score order, or any order of the metrics."""
+    floats (overflowed ones included), and a ranking that is the score
+    order or any order of the metrics."""
     names = draw(st.lists(metric_names, unique=True, max_size=8))
     raw_floats = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
     raw = {m: draw(raw_floats) for m in names}
     adjusted = draw(st.none() | st.fixed_dictionaries(
         {m: st.floats() | st.sampled_from(EDGE_FLOATS) for m in names}))
     table = ScoreTable(raw, adjusted)
-    ranking = draw(st.sampled_from([None, rank(table.best())])
-                   | st.permutations(list(table.best().items())))
+    ranked = raw if adjusted is None else adjusted
+    ranking = draw(st.just(rank(ranked)) | st.permutations(list(ranked.items())))
     return table, ranking
 
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=score_tables())
-@example(drawn=(ScoreTable({}), None))
+@example(drawn=(ScoreTable({}), []))
 @example(drawn=(ScoreTable({"a\"b": -0.0, "\\\x01é": 5e-324, "𝄞": 1.7976931348623157e308},
-                           {"a\"b": math.inf, "\\\x01é": 5e-324, "𝄞": math.inf}), None))
+                           {"a\"b": math.inf, "\\\x01é": 5e-324, "𝄞": math.inf}), []))
 def test_save_scores_bytes_match_json_dumps(drawn):
     assert_scores_bytes(*drawn)
 
@@ -380,14 +380,16 @@ def test_run_scorer_contracts():
         run_scorer("made-up", case)
 
 
-def test_run_scorer_option_overrides():
+def test_registered_scorers_compose_public_functions():
+    # each registered regression scorer is rht_score, maybe lagged, maybe adjusted
     dag = chain_dag()
     X = simulate_matrix(dag, 126, np.random.default_rng(9))
     case = chain_case(X)
     graph = dag.to_causal_graph()
-    plain, _ = run_scorer("rht", case, graph)
-    as_pg, _ = run_scorer("rht", case, graph, lagged=True)
+    rht, _ = run_scorer("rht", case, graph)
+    circa, _ = run_scorer("circa", case, graph)
     pg, _ = run_scorer("rht-pg", case, graph)
-    assert as_pg.raw == pg.raw
-    adjusted, _ = run_scorer("rht", case, graph, adjust=True)
-    assert adjusted.adjusted == descendant_adjust(plain.raw, graph)
+    assert circa.raw == rht.raw
+    assert circa.adjusted == descendant_adjust(rht.raw, graph)
+    assert pg.raw == rht_score(case, graph, use_lagged_self=True)
+    assert pg.adjusted is None
