@@ -52,7 +52,8 @@ def _checked(cast, ok, what: str):
 _positive = _checked(int, lambda value: value >= 1, "at least 1")
 _non_negative = _checked(int, lambda value: value >= 0, "at least 0")
 _finite = _checked(float, math.isfinite, "finite")
-_rate = _checked(float, lambda value: math.isfinite(value) and value >= 0, "finite and at least 0")
+_rate = _checked(float, lambda value: 0 <= value <= simulation.MAX_POISSON_RATE,
+                 f"at least 0 and at most {simulation.MAX_POISSON_RATE:g}")
 
 
 def build_parser() -> argparse.ArgumentParser:

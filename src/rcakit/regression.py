@@ -4,7 +4,8 @@ Each metric gets a least-squares model of its value given its causal
 parents (optionally plus its own lagged value).  The residual mean and
 standard deviation summarize how tightly the reference data follow the
 fitted relation; scoring standardizes deviations on new rows by them.
-Fits that share a feature count are solved together, as one stack.
+One call fits every metric: fits that share a feature count are solved
+as one stack, and the statistics of all are taken in one pass.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ class Centred(NamedTuple):
 
 
 class GroupFit(NamedTuple):
-    """k fits that share a feature count q, as stacked arrays."""
+    """k fits, member i with q_i features, as per-member or stacked arrays."""
 
-    coefficients: np.ndarray  # (k, q)
+    coefficients: tuple  # k arrays, member i's of shape (q_i,)
     intercept: np.ndarray  # (k,)
     residual_mean: np.ndarray  # (k,) over the reference rows
     residual_std: np.ndarray  # (k,) population std, floored
@@ -72,27 +73,41 @@ def centre(ref, new) -> Centred:
 def fit_group(data: Centred, targets, features) -> GroupFit:
     """Fit column ``targets[i]`` on columns ``features[i]`` for each member i.
 
-    ``features`` is a (k, q) index array: every member has q features.  The
-    normal equations of all members are solved in one stacked call; a
-    member whose coefficients come out non-finite or at least
-    ``COEF_LIMIT`` in magnitude takes the minimum-norm ``lstsq`` solution.
-    Residual statistics use the population standard deviation of the
-    explicit reference residuals, floored so a perfect fit still yields a
-    usable scale.
+    ``features`` holds one index sequence per member, of any length.
+    Members that share a feature count have their normal equations solved
+    in one stacked call; a member whose coefficients come out non-finite
+    or at least ``COEF_LIMIT`` in magnitude takes the minimum-norm
+    ``lstsq`` solution.  One pass then takes every member's residual
+    statistics: the population std of its explicit reference residuals,
+    floored so a perfect fit still yields a usable scale.
     """
     targets = np.asarray(targets, dtype=np.intp)
-    features = np.asarray(features, dtype=np.intp)
-    if features.ndim != 2 or len(features) != len(targets):
-        raise DimensionMismatch(f"need a ({len(targets)}, q) feature array, got {features.shape}")
-    n = data.n_ref
-    y = data.rows[targets]  # (k, n + m)
-    X = data.rows[features]  # (k, q, n + m)
-    coef = _solve(X[:, :, :n], y[:, :n])
-    residuals = y - np.einsum("kqr,kq->kr", X, coef)
-    ref_residuals = residuals[:, :n]
-    sigma = np.maximum(ref_residuals.std(axis=1), sigma_floor(y[:, :n].std(axis=1)))
-    intercept = data.mean[targets] - np.einsum("kq,kq->k", coef, data.mean[features])
-    return GroupFit(coef, intercept, ref_residuals.mean(axis=1), sigma, residuals[:, n:])
+    if len(features) != len(targets):
+        raise DimensionMismatch(f"need one feature sequence per target, got {len(features)} "
+                                f"for {len(targets)}")
+    counts: dict[int, list[int]] = {}
+    try:
+        for i, member in enumerate(features):
+            counts.setdefault(len(member), []).append(i)
+    except TypeError:
+        raise DimensionMismatch("each member's features must be a sequence of indices") from None
+    n, k = data.n_ref, len(targets)
+    residuals, intercept, coefficients = np.empty((k, data.rows.shape[1])), np.empty(k), [None] * k
+    for q, members in counts.items():
+        group = targets[members]
+        index = np.array([features[i] for i in members], dtype=np.intp)
+        if index.shape != (len(members), q):
+            raise DimensionMismatch(f"need {q} feature indices per member, got {index.shape}")
+        y = data.rows[group]  # (k_q, n + m)
+        X = data.rows[index]  # (k_q, q, n + m)
+        coef = _solve(X[:, :, :n], y[:, :n])
+        residuals[members] = y - np.einsum("kqr,kq->kr", X, coef)
+        intercept[members] = data.mean[group] - np.einsum("kq,kq->k", coef, data.mean[index])
+        for i, row in zip(members, coef):
+            coefficients[i] = row
+    ref = residuals[:, :n]
+    sigma = np.maximum(ref.std(axis=1), sigma_floor(data.rows[targets, :n].std(axis=1)))
+    return GroupFit(tuple(coefficients), intercept, ref.mean(axis=1), sigma, residuals[:, n:])
 
 
 def _solve(X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -95,8 +95,8 @@ def rht_score(
     own one-step-lagged value when ``use_lagged_self``) is fitted on the
     reference window.  Every test sample is scored as
     ``|(value - prediction - residual_mean)| / residual_std`` and the
-    metric's score is the maximum over the test window.  Nodes with the
-    same number of features are fitted together as one group.
+    metric's score is the maximum over the test window.  One
+    ``fit_group`` call fits every node.
     """
     _require_series(case, graph.nodes)
     col = {m: j for j, m in enumerate(case.metrics)}
@@ -105,8 +105,8 @@ def rht_score(
     lo, hi = ref_idx.start, ref_idx.stop
     test = full[test_idx.start:test_idx.stop]
     nodes = sorted(graph.nodes)
-    targets = [col[node] for node in nodes]
-    features = [[col[p] for p in graph.parents(node)] for node in nodes]
+    targets = list(map(col.__getitem__, nodes))
+    features = [list(map(col.__getitem__, graph.parents(node))) for node in nodes]
     if use_lagged_self:
         # The lagged value of the first reference sample is unknown, so that
         # row drops out of training.  Lagged columns follow the case's own.
@@ -116,16 +116,8 @@ def rht_score(
         features = [f + [lag + j] for f, j in zip(features, targets)]
     else:
         data = centre(full[lo:hi], test)
-
-    groups: dict[int, list[int]] = {}
-    for i, f in enumerate(features):
-        groups.setdefault(len(f), []).append(i)
-    scores = np.empty(len(nodes))
-    for members in groups.values():
-        fit = fit_group(data, [targets[i] for i in members],
-                        np.array([features[i] for i in members], dtype=np.intp))
-        scores[members] = (np.abs(fit.deviation - fit.residual_mean[:, None]).max(axis=1)
-                           / fit.residual_std)
+    fit = fit_group(data, targets, features)
+    scores = np.abs(fit.deviation - fit.residual_mean[:, None]).max(axis=1) / fit.residual_std
     return dict(zip(nodes, scores.tolist()))
 
 
@@ -150,22 +142,24 @@ def descendant_adjust(
 ) -> dict[MetricId, float]:
     """Boost abnormal metrics by the largest score among their effects.
 
-    Walking children before parents, each node carries the maximum of its
-    children's scores and of what each child below the threshold carries
-    (nothing for a leaf).  A node at or above the threshold gains what it
-    carries (zero when nothing); others keep their score unchanged.
+    Walking children before parents, each node carries the maximum of
+    what its children reach (nothing for a leaf): a child reaches its own
+    score, raised to what it carries when it is below the threshold.  A
+    node at or above the threshold gains what it carries (zero when
+    nothing); others keep their score unchanged.
     """
+    order = graph.topological_order()
+    reach: dict[MetricId, float] = {}
     carried: dict[MetricId, Optional[float]] = {}
-    for node in reversed(graph.topological_order()):
-        best = None
-        for child in graph.children(node):
-            reach = scores[child]
-            if reach < threshold and carried[child] is not None:
-                reach = max(reach, carried[child])
-            best = reach if best is None else max(best, reach)
-        carried[node] = best
+    for node in reversed(order):
+        children = graph.children(node)
+        # max keeps its first argument unless a later one is larger, so the
+        # children-order fold and max(score, best) keep any NaN as before.
+        best = carried[node] = max(map(reach.__getitem__, children)) if children else None
+        score = scores[node]
+        reach[node] = max(score, best) if score < threshold and best is not None else score
     adjusted: dict[MetricId, float] = {}
-    for node in graph.topological_order():
+    for node in order:
         score = scores[node]
         if score >= threshold and carried[node] is not None:
             score = score + carried[node]

@@ -43,6 +43,9 @@ from .model import (
 
 DEFAULT_BETA = 0.1
 DEFAULT_POISSON_RATE = 1.0
+#: Largest root-count rate accepted: numpy's Poisson sampler refuses rates
+#: above about 9.2e18, where its int64 draws would overflow.
+MAX_POISSON_RATE = 1e18
 #: Noise standard deviations below this are clipped to keep metrics alive.
 MIN_NOISE_STD = 0.01
 WEIGHT_LOW, WEIGHT_HIGH = 0.5, 2.0

@@ -285,6 +285,8 @@ def write_config(path, payload):
     ("simulate", ["--poisson-rate=nan"], "--poisson-rate"),
     ("simulate", {"poisson_rate": float("inf")}, "--poisson-rate"),
     ("simulate", ["--poisson-rate=inf"], "--poisson-rate"),
+    ("simulate", {"poisson_rate": 1e19}, "--poisson-rate"),  # was numpy's message, exit 1
+    ("simulate", ["--poisson-rate=1e19"], "--poisson-rate"),
     ("simulate", {"nodes": 0}, "--nodes"),
     ("simulate", ["--nodes=0"], "--nodes"),
     # a scorer is its registered name: no option redefines it
@@ -301,8 +303,8 @@ def write_config(path, payload):
         "flag-negative-jobs", "simulate-negative-jobs", "zero-graphs", "flag-zero-graphs",
         "zero-cases", "flag-negative-cases", "negative-seed", "flag-negative-seed",
         "negative-rate", "flag-negative-rate", "nan-rate", "flag-nan-rate", "inf-rate",
-        "flag-inf-rate", "zero-nodes", "flag-zero-nodes", "removed-lagged", "removed-adjust",
-        "flag-removed-lagged", "flag-removed-no-adjust"])
+        "flag-inf-rate", "huge-rate", "flag-huge-rate", "zero-nodes", "flag-zero-nodes",
+        "removed-lagged", "removed-adjust", "flag-removed-lagged", "flag-removed-no-adjust"])
 def test_config_value_is_a_usage_error(dataset_dir, tmp_path, capsys, command, config, named):
     argv = {"analyze": [str(dataset_dir / "g0" / "c0")], "evaluate": [str(dataset_dir)],
             "simulate": ["--nodes=10", "--edges=20", "--seed=1"]}[command]

@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcakit import cli, scoring
+from rcakit import cli, scoring, simulation
 
 
 def subcommands():
@@ -53,7 +53,7 @@ def config_values(action):
     if action.type is cli._finite:
         return st.floats(allow_nan=False, allow_infinity=False)
     if action.type is cli._rate:
-        return st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+        return st.floats(min_value=0, max_value=simulation.MAX_POISSON_RATE)
     assert action.type is None, f"no config values for {action.option_strings}"
     return st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
 

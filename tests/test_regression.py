@@ -123,6 +123,10 @@ def test_predict_dimension_mismatch():
         centre(ref, np.zeros(2))
     with pytest.raises(DimensionMismatch):
         fit_group(centre(ref, np.zeros((3, 2))), [0, 1], [[1]])
+    with pytest.raises(DimensionMismatch):
+        fit_group(centre(ref, np.zeros((3, 2))), [0, 1], [1, 0])  # not one sequence per member
+    with pytest.raises(DimensionMismatch):
+        fit_group(centre(ref, np.zeros((3, 2))), [0], [[[1]]])
 
 
 def test_training_residual_mean_is_zero():
@@ -224,7 +228,7 @@ def test_featureless_group(monkeypatch):
     calls = spy_solve(monkeypatch)
     fit = fit_group(centre(ref, new), [0, 1, 2], np.empty((3, 0), dtype=np.intp))
     assert calls == []
-    assert fit.coefficients.shape == (3, 0)
+    assert [c.shape for c in fit.coefficients] == [(0,)] * 3
     assert np.allclose(fit.intercept, ref.mean(axis=0), rtol=1e-15, atol=0)
     assert np.allclose(fit.residual_std, np.maximum(ref.std(axis=0), sigma_floor(ref.std(axis=0))))
     assert fit.residual_std[2] == sigma_floor(0.0)

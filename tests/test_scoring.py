@@ -226,6 +226,43 @@ def test_adjust_equals_set_based_version(rng):
                     == set_based_adjust(scores, graph, threshold))
 
 
+def per_child_adjust(scores, graph, threshold=3.0):
+    """The former descendant_adjust: one two-argument max per child."""
+    carried = {}
+    for node in reversed(graph.topological_order()):
+        best = None
+        for child in graph.children(node):
+            reach = scores[child]
+            if reach < threshold and carried[child] is not None:
+                reach = max(reach, carried[child])
+            best = reach if best is None else max(best, reach)
+        carried[node] = best
+    adjusted = {}
+    for node in graph.topological_order():
+        score = scores[node]
+        if score >= threshold and carried[node] is not None:
+            score = score + carried[node]
+        adjusted[node] = score
+    return adjusted
+
+
+def test_adjust_keeps_nan_where_the_per_child_fold_did(rng):
+    # max(a, b) keeps a unless b > a, so where a NaN survives depends on the
+    # order of the comparisons; the set-based version above has no NaN.
+    for _ in range(300):
+        graph, scores = random_dagscores(rng, n_nodes=int(rng.integers(1, 14)),
+                                         edge_prob=float(rng.uniform(0.1, 0.6)))
+        for m in scores:
+            if rng.random() < 0.3:
+                scores[m] = np.nan
+        for threshold in (0.0, 3.0, np.inf, np.nan):
+            got = descendant_adjust(scores, graph, threshold)
+            want = per_child_adjust(scores, graph, threshold)
+            assert list(got) == list(want)
+            assert np.array_equal(np.array(list(got.values())).view(np.uint64),
+                                  np.array(list(want.values())).view(np.uint64))
+
+
 # --- dfs baseline -----------------------------------------------------------
 
 def test_dfs_single_abnormal_path():
