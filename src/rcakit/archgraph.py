@@ -21,14 +21,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import yaml
-
 from .errors import CyclicCallGraph, MalformedInput, ResultNotDag, UnknownMetaMetric
 from .model import CausalGraph, MetricId
-
-#: libyaml's safe loader when PyYAML is built with it, else the pure-Python
-#: one: the same constructor and resolver, so the same result.
-Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 #: The deepest collection nesting an arch.yaml may have.  libyaml's
 #: composer recurses in C, one stack frame per level, and no Python limit
@@ -36,6 +30,24 @@ Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 #: interpreter.  The limit leaves room for smaller stacks and is far above
 #: what an architecture needs (about 5 levels).
 MAX_NESTING = 5_000
+
+
+def _loader():
+    """The safe loader ``load_architecture`` parses with: the module's
+    ``Loader`` when one is set, else libyaml's when PyYAML is built with
+    it, else the pure-Python one (the same constructor and resolver, so
+    the same result).  yaml is imported here, so that only commands that
+    read an architecture pay for it."""
+    import yaml
+
+    return globals().get("Loader") or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def __getattr__(name: str):
+    # ``archgraph.Loader`` reads as the loader in use until it is set.
+    if name == "Loader":
+        return _loader()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class MetaMetricDim(str, Enum):
@@ -226,7 +238,7 @@ def _nesting_bound(text: str) -> int:
     return sum(map(text.count, "[{-?:"))
 
 
-def _check_nesting(text: str, path) -> None:
+def _check_nesting(text: str, path, loader) -> None:
     """MalformedInput when ``text`` nests deeper than MAX_NESTING.  Only a
     text whose cheap bound exceeds the limit is scanned, and the scan of
     parser events stops at the first level past it.
@@ -236,10 +248,12 @@ def _check_nesting(text: str, path) -> None:
     quadratic in the depth of nested flow collections, so the pure-Python
     one is not asked for a scan it does not need.
     """
-    if issubclass(Loader, yaml.composer.Composer) or _nesting_bound(text) <= MAX_NESTING:
+    import yaml
+
+    if issubclass(loader, yaml.composer.Composer) or _nesting_bound(text) <= MAX_NESTING:
         return
     depth = 0
-    for event in yaml.parse(text, Loader=Loader):
+    for event in yaml.parse(text, Loader=loader):
         if isinstance(event, yaml.CollectionStartEvent):
             depth += 1
             if depth > MAX_NESTING:
@@ -262,10 +276,13 @@ def load_architecture(path) -> ArchitectureSpec:
     Raises MalformedInput for a file that does not describe one, including
     one nested deeper than MAX_NESTING.
     """
+    import yaml
+
+    loader = _loader()
     try:
         text = Path(path).read_text(encoding="utf-8")
-        _check_nesting(text, path)
-        payload = yaml.load(text, Loader=Loader)
+        _check_nesting(text, path, loader)
+        payload = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise MalformedInput(f"{path}: not valid YAML ({exc})") from exc
     except RecursionError:

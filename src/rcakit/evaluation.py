@@ -9,16 +9,16 @@ standard deviation across graphs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyCaseSet
 from .model import GroundTruth, Ranking
 from .scoring import ABNORMAL_THRESHOLD, score_case
-from .simulation import SimulatedDataset, _pool_map
+from .simulation import SimulatedDataset, _pool_map, case_id, case_record
 
 DEFAULT_K = 5
 
@@ -72,10 +72,19 @@ class EvalReport:
         return asdict(self)
 
 
-def _score_case(task) -> list[tuple[Optional[Ranking], float, Optional[str]]]:
-    """Every method on one case, in order: (ranking, seconds, error) each."""
-    return [(None, 0.0, f"{type(outcome).__name__}: {outcome}") if isinstance(outcome, Exception)
-            else (outcome[1], seconds, None) for outcome, seconds in score_case(*task)]
+def _score_case(task) -> tuple:
+    """One pool task: read (or draw) one case, apply the window overrides
+    and run every method on it.  Returns ``(case_id, truth, fault_type,
+    outcomes)``, an outcome being ``(top k_max of the ranking, seconds,
+    error)`` per method, in order.  A case that cannot be read or
+    overridden raises; a method that fails on it is an outcome."""
+    entry, graph, methods, threshold, k_max, windows = task
+    record = case_record(entry)
+    case = replace(record.case, **windows) if windows else record.case
+    outcomes = [(None, 0.0, f"{type(outcome).__name__}: {outcome}")
+                if isinstance(outcome, Exception) else (outcome[1][:k_max], seconds, None)
+                for outcome, seconds in score_case(case, graph, record.truth, methods, threshold)]
+    return record.case_id, record.truth, record.fault_type, outcomes
 
 
 def evaluate(
@@ -84,6 +93,7 @@ def evaluate(
     k_max: int = DEFAULT_K,
     threshold: float = ABNORMAL_THRESHOLD,
     jobs: int = 1,
+    windows: Optional[Mapping[str, int]] = None,
 ) -> EvalReport:
     """Run each method over every case and aggregate AC@k per graph.
 
@@ -91,7 +101,11 @@ def evaluate(
     than aborting the batch.  Each case is one ``score_case`` pass, so
     methods that share a detector compute it once; a method's time still
     counts that detector in full.  ``jobs`` > 1 scores cases on a process
-    pool, timed on the worker that runs the case.
+    pool, timed on the worker that runs the case.  A case may be a case
+    directory, as ``load_dataset(read_cases=False)`` gives; the task that
+    scores it reads it, so one pool reads and scores and no case matrix
+    passes through this process.  ``windows`` maps ``t_ref``, ``t_delay``
+    or ``t_test`` to a value that replaces every case's own.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -100,9 +114,10 @@ def evaluate(
     ks = range(1, k_max + 1)
     # canonical order, so aggregation is invariant to case order
     cases = sorted(((g, c) for g in dataset.graphs for c in g.cases),
-                   key=lambda gc: (gc[0].graph_id, gc[1].case_id))
-    outcomes = _pool_map(
-        _score_case, [(c.case, g.graph, c.truth, tuple(methods), threshold) for g, c in cases],
+                   key=lambda gc: (gc[0].graph_id, case_id(gc[1])))
+    scored = _pool_map(
+        _score_case,
+        [(c, g.graph, tuple(methods), threshold, k_max, windows) for g, c in cases],
         jobs,
     )
     results: dict[str, MethodResult] = {}
@@ -111,15 +126,15 @@ def evaluate(
         per_type: dict[str, list[np.ndarray]] = {}
         times: list[float] = []
         failures: list[tuple[str, str, str]] = []
-        for (graph, record), case_outcomes in zip(cases, outcomes):
-            ranking, elapsed, error = case_outcomes[m]
+        for (graph, _), (cid, truth, fault_type, outcomes) in zip(cases, scored):
+            ranking, elapsed, error = outcomes[m]
             if error is not None:
-                failures.append((graph.graph_id, record.case_id, error))
+                failures.append((graph.graph_id, cid, error))
                 continue
-            recalls = np.array([case_recall_at_k(ranking, record.truth, k) for k in ks])
+            recalls = np.array([case_recall_at_k(ranking, truth, k) for k in ks])
             per_graph_recalls[graph.graph_id].append(recalls)
-            if record.fault_type:
-                per_type.setdefault(record.fault_type, []).append(recalls)
+            if fault_type:
+                per_type.setdefault(fault_type, []).append(recalls)
             times.append(elapsed)
 
         graph_ac = {

@@ -13,13 +13,12 @@ each root propagates into the SLI.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,6 +73,9 @@ class WeightedDag:
     nonzero pattern must be acyclic, node 0 must have no children, and
     weight magnitudes must lie in (0.5, 2.0).  The propagation matrix
     ``W`` is solved on first use and shared by every case of the graph.
+    The causal graph of the nonzero pattern is built once, on construction,
+    where it validates the pattern, and not pickled: pool workers get ``A``,
+    ``sigma`` and ``W``.
     """
 
     A: np.ndarray
@@ -103,8 +105,10 @@ class WeightedDag:
         sigma.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "sigma", sigma)
-        # Building the graph validates acyclicity of the edge pattern.
-        self.to_causal_graph()
+        self.to_causal_graph()  # validates acyclicity of the edge pattern
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in vars(self).items() if key != "_graph"}
 
     @property
     def n(self) -> int:
@@ -121,10 +125,15 @@ class WeightedDag:
         return [metric_name(i, self.n) for i in range(self.n)]
 
     def to_causal_graph(self) -> CausalGraph:
-        names = self.node_names()
-        effects, causes = np.nonzero(self.A)
-        edges = [(names[j], names[i]) for i, j in zip(effects, causes)]
-        return CausalGraph(nodes=names, edges=edges)
+        """The graph of ``A``'s edges, built on first use and kept."""
+        graph = vars(self).get("_graph")
+        if graph is None:
+            names = self.node_names()
+            effects, causes = np.nonzero(self.A)
+            graph = CausalGraph(nodes=names,
+                                edges=[(names[j], names[i]) for i, j in zip(effects, causes)])
+            object.__setattr__(self, "_graph", graph)
+        return graph
 
 
 def propagation_matrix(dag: WeightedDag) -> np.ndarray:
@@ -300,13 +309,31 @@ def _sample_fault(dag: WeightedDag, sigma_hat: np.ndarray,
     )
 
 
+class CaseRecipe(NamedTuple):
+    """A case not drawn yet: what ``generate_case`` needs to draw it.  The
+    stream fixes the draw, so it is the same wherever it runs."""
+
+    case_id: str
+    dag: WeightedDag
+    stream: np.random.SeedSequence
+    t_ref: int
+    t_delay: int
+    t_test: int
+    poisson_rate: float
+
+
+#: A dataset's case: a record, a recipe not drawn yet, or a case directory
+#: not read yet.  ``case_record`` makes any of them a record.
+CaseEntry = Union[CaseRecord, CaseRecipe, Path]
+
+
 @dataclass(frozen=True)
 class GraphRecord:
-    """One simulated system and its cases."""
+    """One simulated system and its cases (see CaseEntry)."""
 
     graph_id: str
     graph: CausalGraph
-    cases: tuple[CaseRecord, ...]
+    cases: tuple[CaseEntry, ...]
     dag: Optional[WeightedDag] = None
 
     def __post_init__(self):
@@ -360,9 +387,13 @@ def generate_case(dag: WeightedDag, rng_seed,
 
 def _pool_map(fn: Callable, tasks: Sequence, jobs: Optional[int]) -> list:
     """``[fn(t) for t in tasks]``, on ``jobs`` worker processes when ``jobs`` > 1.
-    The first task to fail, in task order, raises here; the pool shuts down either way."""
+    The first task to fail, in task order, raises here; the pool shuts down either way.
+    The pool starts by the platform's default method (fork on Linux), and is
+    imported here, so that a serial command never loads multiprocessing."""
     if not jobs or jobs <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         return list(pool.map(fn, tasks, chunksize=8))
@@ -370,14 +401,33 @@ def _pool_map(fn: Callable, tasks: Sequence, jobs: Optional[int]) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _case_record(task) -> CaseRecord:
-    dag, stream, case_id, t_ref, t_delay, t_test, poisson_rate = task
+def _draw(recipe: CaseRecipe) -> CaseRecord:
     case, fault = generate_case(
-        dag, np.random.default_rng(stream),
-        t_ref=t_ref, t_delay=t_delay, t_test=t_test, poisson_rate=poisson_rate,
+        recipe.dag, np.random.default_rng(recipe.stream), t_ref=recipe.t_ref,
+        t_delay=recipe.t_delay, t_test=recipe.t_test, poisson_rate=recipe.poisson_rate,
     )
-    truth = GroundTruth(frozenset(metric_name(i, dag.n) for i in fault.root_causes))
-    return CaseRecord(case_id, case, truth, fault.fault_type.value)
+    truth = GroundTruth(frozenset(metric_name(i, recipe.dag.n) for i in fault.root_causes))
+    return CaseRecord(recipe.case_id, case, truth, fault.fault_type.value)
+
+
+def _load_record(case_dir: Path) -> CaseRecord:
+    record = load_case(case_dir)
+    if record.truth is None:
+        raise MalformedInput(f"{case_dir}/case.json: dataset cases must carry root_causes")
+    return record
+
+
+def case_record(entry: CaseEntry) -> CaseRecord:
+    """The record a dataset case stands for: the record itself, its recipe
+    drawn, or its directory read, which must carry root causes."""
+    if isinstance(entry, CaseRecord):
+        return entry
+    return _draw(entry) if isinstance(entry, CaseRecipe) else _load_record(entry)
+
+
+def case_id(entry: CaseEntry) -> str:
+    """A dataset case's id, which names its directory."""
+    return entry.name if isinstance(entry, Path) else entry.case_id
 
 
 def generate_dataset(
@@ -391,28 +441,30 @@ def generate_dataset(
     t_test: int = DEFAULT_T_TEST,
     poisson_rate: float = DEFAULT_POISSON_RATE,
     jobs: Optional[int] = None,
+    draw_cases: bool = True,
 ) -> SimulatedDataset:
     """Generate ``n_graphs`` systems with ``cases_per_graph`` faulty cases each.
 
     Graphs are shared across their cases; every case gets freshly
     simulated series.  Sub-streams are split off the master seed per
     graph and per case, so any case is reproducible in isolation and the
-    output is independent of worker scheduling when ``jobs`` > 1.
+    output is independent of worker scheduling when ``jobs`` > 1.  With
+    ``draw_cases`` False the cases are ``CaseRecipe``s, for ``save_dataset``
+    to draw on the worker that writes each one.
     """
     root_seq = np.random.SeedSequence(rng_seed)
     graph_width = len(str(max(n_graphs - 1, 0)))
     case_width = len(str(max(cases_per_graph - 1, 0)))
-    dags, tasks = [], []
+    dags, entries = [], []
     for graph_seq in root_seq.spawn(n_graphs):
         streams = graph_seq.spawn(cases_per_graph + 1)
         dag = generate_dag(n_node, n_edge, np.random.default_rng(streams[0]))
         dag.W  # solve here, so pool workers receive W with the dag
         dags.append(dag)
-        tasks += [
-            (dag, streams[c + 1], f"c{c:0{case_width}d}", t_ref, t_delay, t_test, poisson_rate)
-            for c in range(cases_per_graph)
-        ]
-    records = iter(_pool_map(_case_record, tasks, jobs))
+        entries += [CaseRecipe(f"c{c:0{case_width}d}", dag, streams[c + 1],
+                               t_ref, t_delay, t_test, poisson_rate)
+                    for c in range(cases_per_graph)]
+    records = iter(_pool_map(_draw, entries, jobs) if draw_cases else entries)
     graphs = tuple(GraphRecord(f"g{g:0{graph_width}d}", dag.to_causal_graph(),
                                tuple(islice(records, cases_per_graph)), dag)
                    for g, dag in enumerate(dags))
@@ -434,7 +486,8 @@ def require_empty_dir(out_dir) -> None:
 
 def _save_record(task) -> None:
     case_dir, entry = task
-    save_case(case_dir, entry.case, entry.truth, entry.fault_type)
+    record = case_record(entry)
+    save_case(case_dir, record.case, record.truth, record.fault_type)
 
 
 def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None) -> None:
@@ -443,6 +496,8 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
     ``out_dir`` must be absent or empty.  graph.json holds the topology
     only; generate_dataset on the manifest's recipe redraws the weights.
     ``jobs`` > 1 writes the cases on a process pool, to the same bytes.
+    A case that is a recipe is drawn by the task that writes it, so
+    ``simulate`` generates and writes in one pass.
     """
     out_dir = Path(out_dir)
     require_empty_dir(out_dir)
@@ -455,23 +510,19 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
         graph_dir = out_dir / record.graph_id
         graph_dir.mkdir(exist_ok=True)
         save_graph(record.graph, graph_dir / "graph.json")
-        tasks += [(graph_dir / entry.case_id, entry) for entry in record.cases]
+        tasks += [(graph_dir / case_id(entry), entry) for entry in record.cases]
     _pool_map(_save_record, tasks, jobs)
 
 
-def _load_record(case_dir: Path) -> CaseRecord:
-    record = load_case(case_dir)
-    if record.truth is None:
-        raise MalformedInput(f"{case_dir}/case.json: dataset cases must carry root_causes")
-    return record
-
-
-def load_dataset(directory, jobs: Optional[int] = None) -> SimulatedDataset:
+def load_dataset(directory, jobs: Optional[int] = None,
+                 read_cases: bool = True) -> SimulatedDataset:
     """Read a dataset directory written by save_dataset.
 
     Graphs load as topology only, ``dag`` None; weights that older
     graph.json files carry are ignored.  ``jobs`` > 1 reads the cases on a
-    process pool, to the same result.
+    process pool, to the same result.  With ``read_cases`` False the cases
+    are their directories, for ``evaluate`` to read on the worker that
+    scores each one.
     """
     directory = Path(directory)
     manifest = directory / "manifest.json"
@@ -482,7 +533,8 @@ def load_dataset(directory, jobs: Optional[int] = None) -> SimulatedDataset:
         if graph_file.exists():
             case_dirs = sorted(p for p in graph_dir.iterdir() if p.is_dir())
             found.append((graph_dir.name, load_graph(graph_file), case_dirs))
-    records = iter(_pool_map(_load_record, [d for *_, dirs in found for d in dirs], jobs))
+    case_dirs = [d for *_, dirs in found for d in dirs]
+    records = iter(_pool_map(_load_record, case_dirs, jobs) if read_cases else case_dirs)
     graphs = tuple(GraphRecord(graph_id, graph, tuple(islice(records, len(dirs))))
                    for graph_id, graph, dirs in found)
     return SimulatedDataset(graphs=graphs, params=params)
