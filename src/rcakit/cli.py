@@ -186,7 +186,7 @@ def cmd_graph(args) -> int:
     save_graph(graph, args.out)
     if not graph.nodes:
         print("warning: architecture maps no metrics; graph is empty", file=sys.stderr)
-    print(f"wrote {args.out}: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
+    print(f"wrote {args.out}: {len(graph.nodes)} nodes, {graph.child_ids.size} edges")
     return 0
 
 

@@ -181,75 +181,106 @@ class GroundTruth:
 class CausalGraph:
     """A directed acyclic graph over metric identifiers.
 
-    Any hashable, ordered node type works; the architecture compiler
-    builds its call graph over services and its skeleton over meta
-    metrics with this class too.  Edges point from cause (parent) to
-    effect (child).  Construction validates acyclicity, naming a cycle
-    when there is one; parent/children lookups and the topological order
-    are precomputed and deterministic.
+    Any hashable, ordered node type works; the architecture compiler builds
+    its call graph over services and its skeleton over meta metrics with
+    this class too.  Edges point from cause (parent) to effect (child);
+    repeated nodes and edges collapse to one, and a cycle is an error that
+    names one.  Node ids index ``names``, the sorted nodes, so ids compare
+    as nodes do.  Edges are CSR index arrays: node i's parents are
+    ``parent_ids[parent_ptr[i]:parent_ptr[i + 1]]``, ascending, and its
+    children likewise in ``child_ids``.  ``order`` is the lexicographic
+    topological order of the ids; the other members are views by node,
+    and ``fit_plan`` the regression detector's grouping.
     """
 
-    __slots__ = ("nodes", "edges", "_parents", "_children", "_order")
+    __slots__ = ("nodes", "names", "index", "parent_ptr", "parent_ids", "child_ptr", "child_ids",
+                 "order", "_plan")
 
     def __init__(self, nodes: Iterable[MetricId], edges: Iterable[tuple[MetricId, MetricId]]):
-        self.nodes = frozenset(nodes)
-        self.edges = frozenset((p, c) for p, c in edges)
-        for parent, child in self.edges:
-            if parent not in self.nodes or child not in self.nodes:
-                raise ValueError(f"edge ({parent!r}, {child!r}) references a missing node")
-        parents: dict[MetricId, list[MetricId]] = {v: [] for v in self.nodes}
-        children: dict[MetricId, list[MetricId]] = {v: [] for v in self.nodes}
-        for parent, child in self.edges:
-            parents[child].append(parent)
-            children[parent].append(child)
-        self._parents = {v: tuple(sorted(ps)) for v, ps in parents.items()}
-        self._children = {v: tuple(sorted(cs)) for v, cs in children.items()}
-        self._order = self._topological_order()
-
-    def _topological_order(self) -> tuple[MetricId, ...]:
-        # Kahn's algorithm with a heap for lexicographic tie-breaking.
-        indeg = {v: len(self._parents[v]) for v in self.nodes}
-        ready = [v for v, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
+        names = tuple(sorted(frozenset(nodes)))
+        n, index = len(names), dict(zip(names, range(len(names))))
+        edges = list(edges)
+        try:
+            codes = np.sort(np.array([index[p] * n + index[c] for p, c in edges], dtype=np.intp))
+        except KeyError:
+            parent, child = next((p, c) for p, c in edges if p not in index or c not in index)
+            raise ValueError(f"edge ({parent!r}, {child!r}) references a missing node") from None
+        # Each edge once, sorted by (parent, child) and, as ups, by (child, parent).
+        parent, child = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n)
+        ups = np.sort(child * n + parent) % n
+        parent_ptr, child_ptr = (np.concatenate(([0], np.bincount(ids, minlength=n).cumsum()))
+                                 for ids in (child, parent))
+        # Kahn's algorithm over ids, with a heap for the lexicographic tie-break.
+        indeg, ptr, kids = np.diff(parent_ptr).tolist(), child_ptr.tolist(), child.tolist()
+        ready = [v for v in range(n) if not indeg[v]]  # ascending, so already a heap
         order = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for c in self._children[v]:
+            for c in kids[ptr[v]:ptr[v + 1]]:
                 indeg[c] -= 1
-                if indeg[c] == 0:
+                if not indeg[c]:
                     heapq.heappush(ready, c)
-        if len(order) != len(self.nodes):
+        if len(order) != n:
             # Every node left over has a parent left over, so a walk up such
             # parents from the smallest one comes back to a node it has seen.
-            walk, seen = [min(v for v in self.nodes if indeg[v])], {}
+            ptr, ups = parent_ptr.tolist(), ups.tolist()
+            walk, seen = [next(v for v in range(n) if indeg[v])], {}
             while walk[-1] not in seen:
-                seen[walk[-1]] = len(walk) - 1
-                walk.append(next(p for p in self._parents[walk[-1]] if indeg[p]))
-            cycle = " -> ".join(map(repr, reversed(walk[seen[walk[-1]]:])))
+                v = walk[-1]
+                seen[v] = len(walk) - 1
+                walk.append(next(p for p in ups[ptr[v]:ptr[v + 1]] if indeg[p]))
+            cycle = " -> ".join(repr(names[v]) for v in reversed(walk[seen[walk[-1]]:]))
             raise ValueError(f"graph contains a cycle: {cycle}")
-        return tuple(order)
+        self.names, self.nodes, self.index, self._plan = names, frozenset(names), index, None
+        self.parent_ptr, self.parent_ids, self.order = parent_ptr, ups, tuple(order)
+        self.child_ptr, self.child_ids = child_ptr, child
+
+    def _named(self, ptr: np.ndarray, ids: np.ndarray, node) -> tuple:
+        i = self.index[node]
+        return tuple(map(self.names.__getitem__, ids[ptr[i]:ptr[i + 1]].tolist()))
 
     def parents(self, node: MetricId) -> tuple[MetricId, ...]:
-        return self._parents[node]
+        return self._named(self.parent_ptr, self.parent_ids, node)
 
     def children(self, node: MetricId) -> tuple[MetricId, ...]:
-        return self._children[node]
+        return self._named(self.child_ptr, self.child_ids, node)
 
     def topological_order(self) -> tuple[MetricId, ...]:
         """All nodes, parents before children, lexicographic tie-break."""
-        return self._order
+        return tuple(map(self.names.__getitem__, self.order))
+
+    def sorted_edges(self) -> list[tuple[MetricId, MetricId]]:
+        """Every (parent, child) pair, sorted."""
+        names, ptr, kids = self.names, self.child_ptr.tolist(), self.child_ids.tolist()
+        return [(names[p], names[c]) for p in range(len(names)) for c in kids[ptr[p]:ptr[p + 1]]]
+
+    @property
+    def edges(self) -> frozenset[tuple[MetricId, MetricId]]:
+        return frozenset(self.sorted_edges())
+
+    def fit_plan(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per parent count q, the ``(ids, parents)`` of the nodes with q
+        parents: ascending ids and their (k_q, q) parent ids; built once."""
+        if self._plan is None:
+            ptr, counts = self.parent_ptr, np.diff(self.parent_ptr)
+            ids = np.argsort(counts, kind="stable")
+            self._plan = tuple((g, self.parent_ids[ptr[g, None] + np.arange(counts[g[0]])])
+                               for g in np.split(ids, np.flatnonzero(np.diff(counts[ids])) + 1)
+                               if g.size)
+        return self._plan
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CausalGraph):
             return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        return (self.names == other.names and np.array_equal(self.child_ptr, other.child_ptr)
+                and np.array_equal(self.child_ids, other.child_ids))
 
     def __hash__(self) -> int:
-        return hash((self.nodes, self.edges))
+        return hash((self.names, self.child_ptr.tobytes(), self.child_ids.tobytes()))
 
     def __repr__(self) -> str:
-        return f"CausalGraph(nodes={len(self.nodes)}, edges={len(self.edges)})"
+        return f"CausalGraph(nodes={len(self.names)}, edges={self.child_ids.size})"
 
 
 def json_float(x: float) -> str:
@@ -276,8 +307,8 @@ def save_graph(graph: CausalGraph, path) -> None:
     "edges": sorted [parent, child] lists}, indent=2, sort_keys=True)`` plus a
     newline."""
     q = json.encoder.encode_basestring_ascii
-    nodes = json_block([q(v) for v in sorted(graph.nodes)], "[]")
-    edges = json_block([f"[\n      {q(p)},\n      {q(c)}\n    ]" for p, c in sorted(graph.edges)],
+    nodes = json_block(list(map(q, graph.names)), "[]")
+    edges = json_block([f"[\n      {q(p)},\n      {q(c)}\n    ]" for p, c in graph.sorted_edges()],
                        "[]")
     Path(path).write_text(f'{{\n  "edges": {edges},\n  "nodes": {nodes}\n}}\n')
 
@@ -295,11 +326,18 @@ def read_json(path) -> dict:
 
 
 def load_graph(path) -> CausalGraph:
-    """Read a graph.json; MalformedInput when it does not describe a DAG."""
+    """Read a graph.json of non-empty string ``nodes`` and [parent, child]
+    string pair ``edges``; MalformedInput naming the file for anything else."""
     payload = read_json(path)
+    nodes, edges = payload.get("nodes"), payload.get("edges")
+    if type(nodes) is not list or not all(type(v) is str and v for v in nodes):
+        raise MalformedInput(f"{path}: nodes must be a list of non-empty strings")
+    if type(edges) is not list or not all(type(e) is list and len(e) == 2 and type(e[0]) is str
+                                          and type(e[1]) is str for e in edges):
+        raise MalformedInput(f"{path}: edges must be a list of [parent, child] string pairs")
     try:
-        return CausalGraph(payload["nodes"], [(str(p), str(c)) for p, c in payload["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
+        return CausalGraph(nodes, edges)
+    except ValueError as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
 
 

@@ -91,13 +91,22 @@ def fit_group(data: Centred, targets, features) -> GroupFit:
             counts.setdefault(len(member), []).append(i)
     except TypeError:
         raise DimensionMismatch("each member's features must be a sequence of indices") from None
-    n, k = data.n_ref, len(targets)
-    residuals, intercept, coefficients = np.empty((k, data.rows.shape[1])), np.empty(k), [None] * k
+    groups = []
     for q, members in counts.items():
-        group = targets[members]
         index = np.array([features[i] for i in members], dtype=np.intp)
         if index.shape != (len(members), q):
             raise DimensionMismatch(f"need {q} feature indices per member, got {index.shape}")
+        groups.append((members, index))
+    return fit_stacks(data, targets, groups)
+
+
+def fit_stacks(data: Centred, targets: np.ndarray, groups) -> GroupFit:
+    """``fit_group`` over members grouped by feature count q: one ``(members,
+    index)`` pair per count, positions in ``targets`` and a (k_q, q) array."""
+    n, k = data.n_ref, len(targets)
+    residuals, intercept, coefficients = np.empty((k, data.rows.shape[1])), np.empty(k), [None] * k
+    for members, index in groups:
+        group = targets[members]
         y = data.rows[group]  # (k_q, n + m)
         X = data.rows[index]  # (k_q, q, n + m)
         coef = _solve(X[:, :, :n], y[:, :n])

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import MissingSeries, RcakitError
 from .model import (Case, CausalGraph, GroundTruth, MetricId, Ranking, json_block, json_float,
                     window_index_ranges)
-from .regression import centre, fit_group, sigma_floor
+from .regression import centre, fit_stacks, sigma_floor
 
 #: Scores at or above this many sigmas count as abnormal (the three-sigma
 #: rule of thumb).  Configurable wherever it is consumed.
@@ -78,12 +78,6 @@ def save_scores(path, table: ScoreTable, ranking: Ranking) -> None:
                           f'  "ranking": {ranked},\n  "raw": {scores(payload["raw"])}\n}}\n')
 
 
-def _require_series(case: Case, metrics) -> None:
-    missing = sorted(set(metrics) - set(case.metrics))
-    if missing:
-        raise MissingSeries(f"case has no series for: {', '.join(missing)}")
-
-
 def rht_score(
     case: Case,
     graph: CausalGraph,
@@ -96,29 +90,34 @@ def rht_score(
     reference window.  Every test sample is scored as
     ``|(value - prediction - residual_mean)| / residual_std`` and the
     metric's score is the maximum over the test window.  One
-    ``fit_group`` call fits every node.
+    ``fit_stacks`` call fits every node, on the graph's fit plan.
     """
-    _require_series(case, graph.nodes)
-    col = {m: j for j, m in enumerate(case.metrics)}
+    plan = graph.fit_plan()
+    if case.metrics == graph.names:  # node ids are the case's columns
+        targets = np.arange(len(graph.names))
+    else:
+        missing = sorted(graph.nodes.difference(case.metrics))
+        if missing:
+            raise MissingSeries(f"case has no series for: {', '.join(missing)}")
+        col = {m: j for j, m in enumerate(case.metrics)}
+        targets = np.array(list(map(col.__getitem__, graph.names)), dtype=np.intp)
+        plan = [(ids, targets.take(parents)) for ids, parents in plan]
     full = case.values
     ref_idx, test_idx = window_index_ranges(case)
     lo, hi = ref_idx.start, ref_idx.stop
     test = full[test_idx.start:test_idx.stop]
-    nodes = sorted(graph.nodes)
-    targets = list(map(col.__getitem__, nodes))
-    features = [list(map(col.__getitem__, graph.parents(node))) for node in nodes]
     if use_lagged_self:
         # The lagged value of the first reference sample is unknown, so that
         # row drops out of training.  Lagged columns follow the case's own.
         lag = full.shape[1]
         data = centre(np.hstack([full[lo + 1:hi], full[lo:hi - 1]]),
                       np.hstack([test, full[test_idx.start - 1:test_idx.stop - 1]]))
-        features = [f + [lag + j] for f, j in zip(features, targets)]
+        plan = [(ids, np.hstack([index, lag + targets[ids, None]])) for ids, index in plan]
     else:
         data = centre(full[lo:hi], test)
-    fit = fit_group(data, targets, features)
+    fit = fit_stacks(data, targets, plan)
     scores = np.abs(fit.deviation - fit.residual_mean[:, None]).max(axis=1) / fit.residual_std
-    return dict(zip(nodes, scores.tolist()))
+    return dict(zip(graph.names, scores.tolist()))
 
 
 def nsigma_score(case: Case) -> dict[MetricId, float]:
@@ -148,23 +147,18 @@ def descendant_adjust(
     node at or above the threshold gains what it carries (zero when
     nothing); others keep their score unchanged.
     """
-    order = graph.topological_order()
-    reach: dict[MetricId, float] = {}
-    carried: dict[MetricId, Optional[float]] = {}
-    for node in reversed(order):
-        children = graph.children(node)
+    ptr, kids, order = graph.child_ptr.tolist(), graph.child_ids.tolist(), graph.order
+    score = list(map(scores.__getitem__, graph.names))
+    reach, carried = score[:], [None] * len(score)
+    for v in reversed(order):
         # max keeps its first argument unless a later one is larger, so the
         # children-order fold and max(score, best) keep any NaN as before.
-        best = carried[node] = max(map(reach.__getitem__, children)) if children else None
-        score = scores[node]
-        reach[node] = max(score, best) if score < threshold and best is not None else score
-    adjusted: dict[MetricId, float] = {}
-    for node in order:
-        score = scores[node]
-        if score >= threshold and carried[node] is not None:
-            score = score + carried[node]
-        adjusted[node] = score
-    return adjusted
+        if ptr[v] < ptr[v + 1]:
+            best = carried[v] = max(map(reach.__getitem__, kids[ptr[v]:ptr[v + 1]]))
+            if score[v] < threshold:
+                reach[v] = max(score[v], best)
+    return {graph.names[v]: score[v] + carried[v] if score[v] >= threshold
+            and carried[v] is not None else score[v] for v in order}
 
 
 def rank(scores: Mapping[MetricId, float]) -> Ranking:
@@ -192,24 +186,23 @@ def dfs_score(
     if missing:
         raise MissingSeries(f"no detector score for: {', '.join(missing)}")
 
-    def abnormal(node: MetricId) -> bool:
-        return detector_scores[node] >= threshold
-
-    seen = {case.sli}
-    stack = [case.sli]
+    names, ptr, ups = graph.names, graph.parent_ptr.tolist(), graph.parent_ids.tolist()
+    score = list(map(detector_scores.__getitem__, names))
+    abnormal = [s >= threshold for s in score]
+    sli = graph.index[case.sli]
+    seen, stack = {sli}, [sli]
     while stack:
         node = stack.pop()
-        for parent in graph.parents(node):
-            if parent not in seen and abnormal(parent):
+        for parent in ups[ptr[node]:ptr[node + 1]]:
+            if parent not in seen and abnormal[parent]:
                 seen.add(parent)
                 stack.append(parent)
-    candidates = {
-        node for node in seen
-        if abnormal(node) and not any(abnormal(p) for p in graph.parents(node))
-    }
-    ordering = sorted(candidates, key=lambda m: (-detector_scores[m], m))
-    rest = sorted(graph.nodes - candidates, key=lambda m: (-detector_scores[m], m))
-    return [(m, float(detector_scores[m])) for m in ordering + rest]
+    candidates = {node for node in seen if abnormal[node]
+                  and not any(map(abnormal.__getitem__, ups[ptr[node]:ptr[node + 1]]))}
+    # Ids compare as names do, so ties still break by name.
+    ordering = sorted(candidates, key=lambda v: (-score[v], v))
+    rest = sorted(set(range(len(names))) - candidates, key=lambda v: (-score[v], v))
+    return [(names[v], float(score[v])) for v in ordering + rest]
 
 
 def ideal_score(case: Case, truth: Optional[GroundTruth]) -> dict[MetricId, float]:

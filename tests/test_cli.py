@@ -8,7 +8,7 @@ import pytest
 
 from rcakit.cli import build_parser, main
 from rcakit.errors import MalformedInput
-from rcakit.model import load_case
+from rcakit.model import CausalGraph, load_case, load_graph
 from rcakit.simulation import load_dataset
 
 from conftest import read_tree_bytes
@@ -477,12 +477,27 @@ def test_graph_command_rejects_scalar_callees(tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
+NODES_SHAPE = "nodes must be a list of non-empty strings"
+EDGES_SHAPE = "edges must be a list of [parent, child] string pairs"
+
+
 @pytest.mark.parametrize("graph, named", [
     ('[1]', ()),
-    ('{"nodes": ["a"]}', ()),
-    ('{"nodes": ["a"], "edges": [["a"]]}', ()),
+    ('{"nodes": ["a"]}', (EDGES_SHAPE,)),
+    ('{"nodes": ["a"], "edges": [["a"]]}', (EDGES_SHAPE,)),
     ('{"nodes": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}', ("'a' -> 'b' -> 'a'",)),
-], ids=["not-an-object", "no-edges", "short-edge", "cyclic"])
+    ('{"nodes": "ab", "edges": ["ab"]}', (NODES_SHAPE,)),
+    ('{"nodes": ["a", "b"], "edges": ["ab"]}', (EDGES_SHAPE,)),
+    ('{"nodes": ["1", "2"], "edges": [[1, 2]]}', (EDGES_SHAPE,)),
+    ('{"nodes": ["a", "b"], "edges": [["a", "b", "a"]]}', (EDGES_SHAPE,)),
+    ('{"nodes": ["a", "b"], "edges": {"a": "b"}}', (EDGES_SHAPE,)),
+    ('{"nodes": ["a", "b", ""], "edges": []}', (NODES_SHAPE,)),
+    ('{"nodes": ["a", ["b"]], "edges": []}', (NODES_SHAPE,)),
+    ('{"edges": []}', (NODES_SHAPE,)),
+    ('{"nodes": ["a"], "edges": [["a", "b"]]}', ("edge ('a', 'b') references a missing node",)),
+], ids=["not-an-object", "no-edges", "short-edge", "cyclic", "string-nodes", "string-edge",
+        "number-edge", "long-edge", "object-edges", "empty-node", "list-node", "no-nodes",
+        "missing-node"])
 def test_analyze_malformed_graph_is_an_error(tmp_path, capsys, graph, named):
     case_dir = tmp_path / "case"
     case_dir.mkdir()
@@ -493,6 +508,19 @@ def test_analyze_malformed_graph_is_an_error(tmp_path, capsys, graph, named):
                  "--scorer", "rht", "--out", str(tmp_path / "scores.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and all(text in err for text in named)
+    assert str(tmp_path / "graph.json") in err and "Traceback" not in err
+
+
+def test_analyze_graph_with_repeats_control(tmp_path, capsys):
+    case_dir = tmp_path / "case"
+    case_dir.mkdir()
+    (case_dir / "case.json").write_text(GOOD_META)
+    (case_dir / "data.csv").write_text(GOOD_CSV)
+    (tmp_path / "graph.json").write_text(
+        '{"nodes": ["b", "a", "b"], "edges": [["b", "a"], ["b", "a"]], "A": [[0]]}')
+    assert load_graph(tmp_path / "graph.json") == CausalGraph(["a", "b"], [("b", "a")])
+    assert main(["analyze", str(case_dir), "--graph", str(tmp_path / "graph.json"),
+                 "--scorer", "rht", "--out", str(tmp_path / "scores.json")]) == 0
 
 
 def write_one_case_dataset(root, manifest, meta):
