@@ -73,10 +73,10 @@ def _fields_equal(a, b) -> bool:
 def restore_read_only(obj, state: dict) -> None:
     """``__setstate__`` for frozen classes holding read-only arrays:
     pickle does not keep numpy's ``writeable`` flag, so set it again."""
-    for value in state.values():
+    for name, value in state.items():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    obj.__dict__.update(state)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -184,17 +184,15 @@ class CausalGraph:
     Any hashable, ordered node type works; the architecture compiler builds
     its call graph over services and its skeleton over meta metrics with
     this class too.  Edges point from cause (parent) to effect (child);
-    repeated nodes and edges collapse to one, and a cycle is an error that
-    names one.  Node ids index ``names``, the sorted nodes, so ids compare
-    as nodes do.  Edges are CSR index arrays: node i's parents are
-    ``parent_ids[parent_ptr[i]:parent_ptr[i + 1]]``, ascending, and its
-    children likewise in ``child_ids``.  ``order`` is the lexicographic
-    topological order of the ids; the other members are views by node,
-    and ``fit_plan`` the regression detector's grouping.
+    repeats collapse, and a cycle is an error that names one.  Node ids
+    index ``names``, the sorted nodes.  Edges are read-only CSR arrays:
+    node i's parents are ``parent_ids[parent_ptr[i]:parent_ptr[i + 1]]``,
+    ascending, and its children likewise in ``child_ids``.  ``order`` is
+    the lexicographic topological order of the ids.
     """
 
     __slots__ = ("nodes", "names", "index", "parent_ptr", "parent_ids", "child_ptr", "child_ids",
-                 "order", "_plan")
+                 "order", "_plan", "_edges")
 
     def __init__(self, nodes: Iterable[MetricId], edges: Iterable[tuple[MetricId, MetricId]]):
         names = tuple(sorted(frozenset(nodes)))
@@ -226,15 +224,17 @@ class CausalGraph:
             # parents from the smallest one comes back to a node it has seen.
             ptr, ups = parent_ptr.tolist(), ups.tolist()
             walk, seen = [next(v for v in range(n) if indeg[v])], {}
-            while walk[-1] not in seen:
-                v = walk[-1]
+            while (v := walk[-1]) not in seen:
                 seen[v] = len(walk) - 1
                 walk.append(next(p for p in ups[ptr[v]:ptr[v + 1]] if indeg[p]))
             cycle = " -> ".join(repr(names[v]) for v in reversed(walk[seen[walk[-1]]:]))
             raise ValueError(f"graph contains a cycle: {cycle}")
-        self.names, self.nodes, self.index, self._plan = names, frozenset(names), index, None
+        for ids in (parent_ptr, ups, child_ptr, child):
+            ids.flags.writeable = False
+        self.names, self.nodes, self.index = names, frozenset(names), index
         self.parent_ptr, self.parent_ids, self.order = parent_ptr, ups, tuple(order)
         self.child_ptr, self.child_ids = child_ptr, child
+        self._plan = self._edges = None
 
     def _named(self, ptr: np.ndarray, ids: np.ndarray, node) -> tuple:
         i = self.index[node]
@@ -257,18 +257,29 @@ class CausalGraph:
 
     @property
     def edges(self) -> frozenset[tuple[MetricId, MetricId]]:
-        return frozenset(self.sorted_edges())
+        """Every (parent, child) pair, built once; ``child_ids.size`` counts them."""
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
 
-    def fit_plan(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per parent count q, the ``(ids, parents)`` of the nodes with q
-        parents: ascending ids and their (k_q, q) parent ids; built once."""
+    def fit_plan(self, columns: np.ndarray, lag: Optional[int] = None) -> list:
+        """``regression.fit_stacks`` blocks fitting node i as data column
+        ``columns[i]``: per parent count q, the ascending ids of the nodes with
+        q parents and their parents' (k_q, q) columns, and ``lag + columns[i]``
+        last when ``lag`` is given.  The grouping is built once per graph."""
         if self._plan is None:
-            ptr, counts = self.parent_ptr, np.diff(self.parent_ptr)
-            ids = np.argsort(counts, kind="stable")
-            self._plan = tuple((g, self.parent_ids[ptr[g, None] + np.arange(counts[g[0]])])
-                               for g in np.split(ids, np.flatnonzero(np.diff(counts[ids])) + 1)
-                               if g.size)
-        return self._plan
+            ptr, counts, n = self.parent_ptr, np.diff(self.parent_ptr), len(self.names)
+            ids, self._plan = np.argsort(counts, kind="stable"), []
+            for g in np.split(ids, np.flatnonzero(np.diff(counts[ids])) + 1) if n else ():
+                # The parents' ids, then n + the node's own: its lagged column.
+                block = np.hstack([self.parent_ids[ptr[g, None] + np.arange(counts[g[0]])],
+                                   n + g[:, None]])
+                g.flags.writeable = block.flags.writeable = False
+                self._plan.append((g, block))
+        if lag is None:
+            return [(g, columns.take(block[:, :-1])) for g, block in self._plan]
+        own = np.concatenate([columns, lag + columns])
+        return [(g, own.take(block)) for g, block in self._plan]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CausalGraph):
@@ -278,6 +289,11 @@ class CausalGraph:
 
     def __hash__(self) -> int:
         return hash((self.names, self.child_ptr.tobytes(), self.child_ids.tobytes()))
+
+    def __getstate__(self) -> dict:  # without the caches
+        return {s: None if s[0] == "_" else getattr(self, s) for s in CausalGraph.__slots__}
+
+    __setstate__ = restore_read_only
 
     def __repr__(self) -> str:
         return f"CausalGraph(nodes={len(self.names)}, edges={self.child_ids.size})"

@@ -92,16 +92,11 @@ def rht_score(
     metric's score is the maximum over the test window.  One
     ``fit_stacks`` call fits every node, on the graph's fit plan.
     """
-    plan = graph.fit_plan()
-    if case.metrics == graph.names:  # node ids are the case's columns
-        targets = np.arange(len(graph.names))
-    else:
-        missing = sorted(graph.nodes.difference(case.metrics))
-        if missing:
-            raise MissingSeries(f"case has no series for: {', '.join(missing)}")
-        col = {m: j for j, m in enumerate(case.metrics)}
-        targets = np.array(list(map(col.__getitem__, graph.names)), dtype=np.intp)
-        plan = [(ids, targets.take(parents)) for ids, parents in plan]
+    missing = sorted(graph.nodes.difference(case.metrics))
+    if missing:
+        raise MissingSeries(f"case has no series for: {', '.join(missing)}")
+    col = {m: j for j, m in enumerate(case.metrics)}
+    columns = np.fromiter(map(col.__getitem__, graph.names), np.intp, len(graph.names))
     full = case.values
     ref_idx, test_idx = window_index_ranges(case)
     lo, hi = ref_idx.start, ref_idx.stop
@@ -112,10 +107,9 @@ def rht_score(
         lag = full.shape[1]
         data = centre(np.hstack([full[lo + 1:hi], full[lo:hi - 1]]),
                       np.hstack([test, full[test_idx.start - 1:test_idx.stop - 1]]))
-        plan = [(ids, np.hstack([index, lag + targets[ids, None]])) for ids, index in plan]
     else:
-        data = centre(full[lo:hi], test)
-    fit = fit_stacks(data, targets, plan)
+        lag, data = None, centre(full[lo:hi], test)
+    fit = fit_stacks(data, columns, graph.fit_plan(columns, lag))
     scores = np.abs(fit.deviation - fit.residual_mean[:, None]).max(axis=1) / fit.residual_std
     return dict(zip(graph.names, scores.tolist()))
 

@@ -57,7 +57,7 @@ def test_graph_core_agrees_with_networkx(drawn):
     assert graph.topological_order() == lexicographic_networkx_order(graph)
     # The fit plan holds every node once, in a block of its parent count.
     planned = {}
-    for ids, parents in graph.fit_plan():
+    for ids, parents in graph.fit_plan(np.arange(len(graph.names))):
         assert parents.shape[0] == ids.size and list(ids) == sorted(ids)
         for i, row in zip(ids.tolist(), parents.tolist()):
             planned[graph.names[i]] = tuple(graph.names[p] for p in row)
@@ -125,9 +125,27 @@ def test_views_of_a_graph_without_edges():
     assert graph.parents("a") == () and graph.children("b") == ()
     assert graph.edges == frozenset() and graph.sorted_edges() == []
     assert graph.order == (0, 1)
-    [(ids, parents)] = graph.fit_plan()
+    [(ids, parents)] = graph.fit_plan(np.arange(2))
     assert ids.tolist() == [0, 1] and parents.shape == (2, 0)
-    assert CausalGraph([], []).fit_plan() == ()
+    [(ids, lagged)] = graph.fit_plan(np.array([5, 3]), lag=10)
+    assert lagged.tolist() == [[15], [13]]
+    assert CausalGraph([], []).fit_plan(np.arange(0)) == []
     with pytest.raises(KeyError):
         graph.parents("c")
     assert np.array_equal(graph.parent_ptr, [0, 0, 0])
+
+
+def test_graph_arrays_stay_read_only_through_pickling():
+    graph = CausalGraph(["c", "b", "a"], [("a", "b"), ("b", "c"), ("a", "c")])
+    graph.fit_plan(np.arange(3))  # the cached plan is left out of the pickle
+    copy = pickle.loads(pickle.dumps(graph))
+    for g in (graph, copy):
+        for ids in (g.parent_ptr, g.parent_ids, g.child_ptr, g.child_ids):
+            with pytest.raises(ValueError):
+                ids[0] = 1
+        for ids, _ in g.fit_plan(np.arange(3)):
+            with pytest.raises(ValueError):
+                ids[0] = 1
+    assert graph.edges is graph.edges and copy.edges == graph.edges
+    assert [(i.tolist(), p.tolist()) for i, p in copy.fit_plan(np.arange(3), lag=3)] == \
+        [(i.tolist(), p.tolist()) for i, p in graph.fit_plan(np.arange(3), lag=3)]
