@@ -269,13 +269,14 @@ class CausalGraph:
         last when ``lag`` is given.  The grouping is built once per graph."""
         if self._plan is None:
             ptr, counts, n = self.parent_ptr, np.diff(self.parent_ptr), len(self.names)
-            ids, self._plan = np.argsort(counts, kind="stable"), []
+            ids, plan = np.argsort(counts, kind="stable"), []
             for g in np.split(ids, np.flatnonzero(np.diff(counts[ids])) + 1) if n else ():
                 # The parents' ids, then n + the node's own: its lagged column.
                 block = np.hstack([self.parent_ids[ptr[g, None] + np.arange(counts[g[0]])],
                                    n + g[:, None]])
                 g.flags.writeable = block.flags.writeable = False
-                self._plan.append((g, block))
+                plan.append((g, block))
+            self._plan = plan
         if lag is None:
             return [(g, columns.take(block[:, :-1])) for g, block in self._plan]
         own = np.concatenate([columns, lag + columns])
