@@ -185,10 +185,12 @@ class CausalGraph:
     its call graph over services and its skeleton over meta metrics with
     this class too.  Edges point from cause (parent) to effect (child);
     repeats collapse, and a cycle is an error that names one.  Node ids
-    index ``names``, the sorted nodes.  Edges are read-only CSR arrays:
-    node i's parents are ``parent_ids[parent_ptr[i]:parent_ptr[i + 1]]``,
-    ascending, and its children likewise in ``child_ids``.  ``order`` is
-    the lexicographic topological order of the ids.
+    index ``names``, the sorted nodes, so ids compare as nodes do.  Edges
+    are read-only CSR arrays: node i's parents are
+    ``parent_ids[parent_ptr[i]:parent_ptr[i + 1]]``, ascending, and its
+    children likewise in ``child_ids``.  ``order`` is the lexicographic
+    topological order of the ids; ``fit_plan`` groups the nodes for the
+    regression detector.
     """
 
     __slots__ = ("nodes", "names", "index", "parent_ptr", "parent_ids", "child_ptr", "child_ids",
