@@ -61,6 +61,7 @@ from .simulation import (
     InjectedFault,
     SimulatedDataset,
     WeightedDag,
+    case_record,
     classify_fault,
     generate_dag,
     generate_dataset,

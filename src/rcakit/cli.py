@@ -169,11 +169,10 @@ def _window_overrides(args) -> dict:
 def cmd_simulate(args) -> int:
     jobs = args.jobs or os.cpu_count() or 1
     simulation.require_empty_dir(args.out)  # before the work, not after it
-    # Recipes, not cases: each write task draws its own case, on one pool.
     dataset = simulation.generate_dataset(
         n_node=args.nodes, n_edge=args.edges, n_graphs=args.graphs, cases_per_graph=args.cases,
         rng_seed=args.seed, t_ref=args.t_ref, t_delay=args.t_delay, t_test=args.t_test,
-        poisson_rate=args.poisson_rate, draw_cases=False)
+        poisson_rate=args.poisson_rate)
     simulation.save_dataset(dataset, args.out, jobs=jobs)
     print(f"wrote {len(dataset.graphs)} graphs x "
           f"{dataset.params['cases_per_graph']} cases to {args.out}")
@@ -210,8 +209,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_evaluate(args) -> int:
     jobs = args.jobs or os.cpu_count() or 1
-    # Case directories, not cases: each scoring task reads its own, on one pool.
-    dataset = simulation.load_dataset(args.dataset_dir, read_cases=False)
+    dataset = simulation.load_dataset(args.dataset_dir)
     report = evaluation.evaluate(dataset, args.scorers, k_max=args.k, threshold=args.threshold,
                                  jobs=jobs, windows=_window_overrides(args))
     out = args.out or str(Path(args.dataset_dir) / "report.json")
@@ -231,6 +229,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RcakitError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

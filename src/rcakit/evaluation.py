@@ -73,7 +73,7 @@ class EvalReport:
 
 
 def _score_case(task) -> tuple:
-    """One pool task: read (or draw) one case, apply the window overrides
+    """One pool task: read or draw one case, apply the window overrides
     and run every method on it.  Returns ``(case_id, truth, fault_type,
     outcomes)``, an outcome being ``(top k_max of the ranking, seconds,
     error)`` per method, in order.  A case that cannot be read or
@@ -101,11 +101,12 @@ def evaluate(
     than aborting the batch.  Each case is one ``score_case`` pass, so
     methods that share a detector compute it once; a method's time still
     counts that detector in full.  ``jobs`` > 1 scores cases on a process
-    pool, timed on the worker that runs the case.  A case may be a case
-    directory, as ``load_dataset(read_cases=False)`` gives; the task that
-    scores it reads it, so one pool reads and scores and no case matrix
-    passes through this process.  ``windows`` maps ``t_ref``, ``t_delay``
-    or ``t_test`` to a value that replaces every case's own.
+    pool, timed on the worker that runs the case.  The task that scores a
+    case resolves it with ``case_record``: it draws a recipe from
+    ``generate_dataset`` or reads a directory from ``load_dataset``, so one
+    pool makes and scores the cases and no case matrix passes through this
+    process.  ``windows`` maps ``t_ref``, ``t_delay`` or ``t_test`` to a
+    value that replaces every case's own.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")

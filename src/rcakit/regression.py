@@ -44,9 +44,9 @@ class Centred(NamedTuple):
 
 
 class GroupFit(NamedTuple):
-    """k fits, member i with q_i features, as per-member or stacked arrays."""
+    """k fits, taken in groups of members that share a feature count q."""
 
-    coefficients: tuple  # k arrays, member i's of shape (q_i,)
+    coefficients: tuple  # one (k_q, q) array per group, in the order given
     intercept: np.ndarray  # (k,)
     residual_mean: np.ndarray  # (k,) over the reference rows
     residual_std: np.ndarray  # (k,) population std, floored
@@ -70,41 +70,20 @@ def centre(ref, new) -> Centred:
     return Centred(mean, rows, len(ref))
 
 
-def fit_group(data: Centred, targets, features) -> GroupFit:
-    """Fit column ``targets[i]`` on columns ``features[i]`` for each member i.
-
-    ``features`` holds one index sequence per member, of any length.
-    Members that share a feature count have their normal equations solved
-    in one stacked call; a member whose coefficients come out non-finite
-    or at least ``COEF_LIMIT`` in magnitude takes the minimum-norm
-    ``lstsq`` solution.  One pass then takes every member's residual
-    statistics: the population std of its explicit reference residuals,
-    floored so a perfect fit still yields a usable scale.
-    """
-    targets = np.asarray(targets, dtype=np.intp)
-    if len(features) != len(targets):
-        raise DimensionMismatch(f"need one feature sequence per target, got {len(features)} "
-                                f"for {len(targets)}")
-    counts: dict[int, list[int]] = {}
-    try:
-        for i, member in enumerate(features):
-            counts.setdefault(len(member), []).append(i)
-    except TypeError:
-        raise DimensionMismatch("each member's features must be a sequence of indices") from None
-    groups = []
-    for q, members in counts.items():
-        index = np.array([features[i] for i in members], dtype=np.intp)
-        if index.shape != (len(members), q):
-            raise DimensionMismatch(f"need {q} feature indices per member, got {index.shape}")
-        groups.append((members, index))
-    return fit_stacks(data, targets, groups)
-
-
 def fit_stacks(data: Centred, targets: np.ndarray, groups) -> GroupFit:
-    """``fit_group`` over members grouped by feature count q: one ``(members,
-    index)`` pair per count, positions in ``targets`` and a (k_q, q) array."""
+    """Fit column ``targets[i]`` on its feature columns for each member i.
+
+    ``groups`` holds one ``(members, index)`` pair per feature count q:
+    positions in ``targets`` and the (k_q, q) array of their feature
+    columns.  Each group's normal equations are solved in one stacked call;
+    a member whose coefficients come out non-finite or at least
+    ``COEF_LIMIT`` in magnitude takes the minimum-norm ``lstsq`` solution.
+    One pass then takes every member's residual statistics: the population
+    std of its explicit reference residuals, floored so a perfect fit still
+    yields a usable scale.
+    """
     n, k = data.n_ref, len(targets)
-    residuals, intercept, coefficients = np.empty((k, data.rows.shape[1])), np.empty(k), [None] * k
+    residuals, intercept, coefficients = np.empty((k, data.rows.shape[1])), np.empty(k), []
     for members, index in groups:
         group = targets[members]
         y = data.rows[group]  # (k_q, n + m)
@@ -112,8 +91,7 @@ def fit_stacks(data: Centred, targets: np.ndarray, groups) -> GroupFit:
         coef = _solve(X[:, :, :n], y[:, :n])
         residuals[members] = y - np.einsum("kqr,kq->kr", X, coef)
         intercept[members] = data.mean[group] - np.einsum("kq,kq->k", coef, data.mean[index])
-        for i, row in zip(members, coef):
-            coefficients[i] = row
+        coefficients.append(coef)
     ref = residuals[:, :n]
     sigma = np.maximum(ref.std(axis=1), sigma_floor(data.rows[targets, :n].std(axis=1)))
     return GroupFit(tuple(coefficients), intercept, ref.mean(axis=1), sigma, residuals[:, n:])

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -401,28 +400,22 @@ def _pool_map(fn: Callable, tasks: Sequence, jobs: Optional[int]) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _draw(recipe: CaseRecipe) -> CaseRecord:
-    case, fault = generate_case(
-        recipe.dag, np.random.default_rng(recipe.stream), t_ref=recipe.t_ref,
-        t_delay=recipe.t_delay, t_test=recipe.t_test, poisson_rate=recipe.poisson_rate,
-    )
-    truth = GroundTruth(frozenset(metric_name(i, recipe.dag.n) for i in fault.root_causes))
-    return CaseRecord(recipe.case_id, case, truth, fault.fault_type.value)
-
-
-def _load_record(case_dir: Path) -> CaseRecord:
-    record = load_case(case_dir)
-    if record.truth is None:
-        raise MalformedInput(f"{case_dir}/case.json: dataset cases must carry root_causes")
-    return record
-
-
 def case_record(entry: CaseEntry) -> CaseRecord:
     """The record a dataset case stands for: the record itself, its recipe
     drawn, or its directory read, which must carry root causes."""
     if isinstance(entry, CaseRecord):
         return entry
-    return _draw(entry) if isinstance(entry, CaseRecipe) else _load_record(entry)
+    if isinstance(entry, CaseRecipe):
+        case, fault = generate_case(
+            entry.dag, np.random.default_rng(entry.stream), t_ref=entry.t_ref,
+            t_delay=entry.t_delay, t_test=entry.t_test, poisson_rate=entry.poisson_rate,
+        )
+        truth = GroundTruth(frozenset(metric_name(i, entry.dag.n) for i in fault.root_causes))
+        return CaseRecord(entry.case_id, case, truth, fault.fault_type.value)
+    record = load_case(entry)
+    if record.truth is None:
+        raise MalformedInput(f"{entry}/case.json: dataset cases must carry root_causes")
+    return record
 
 
 def case_id(entry: CaseEntry) -> str:
@@ -440,34 +433,32 @@ def generate_dataset(
     t_delay: int = DEFAULT_T_DELAY,
     t_test: int = DEFAULT_T_TEST,
     poisson_rate: float = DEFAULT_POISSON_RATE,
-    jobs: Optional[int] = None,
-    draw_cases: bool = True,
 ) -> SimulatedDataset:
-    """Generate ``n_graphs`` systems with ``cases_per_graph`` faulty cases each.
+    """Draw ``n_graphs`` systems with ``cases_per_graph`` faulty cases each.
 
-    Graphs are shared across their cases; every case gets freshly
-    simulated series.  Sub-streams are split off the master seed per
-    graph and per case, so any case is reproducible in isolation and the
-    output is independent of worker scheduling when ``jobs`` > 1.  With
-    ``draw_cases`` False the cases are ``CaseRecipe``s, for ``save_dataset``
-    to draw on the worker that writes each one.
+    Graphs are drawn here and shared across their cases; each case is a
+    ``CaseRecipe``, drawn by ``case_record`` where it is used (``save_dataset``
+    and ``evaluate`` do so in the task that writes or scores it).  Sub-streams
+    are split off the master seed per graph and per case, so any case is
+    reproducible in isolation and the same on any worker.  The windows and
+    the rate are checked here, before anything is drawn or written.
     """
+    if not FAULT_DURATION - 1 <= t_delay < t_test <= t_ref:
+        raise ValueError(f"simulation needs {FAULT_DURATION - 1} <= t_delay < t_test <= t_ref, "
+                         f"got t_ref={t_ref}, t_delay={t_delay}, t_test={t_test}")
+    if not 0 <= poisson_rate <= MAX_POISSON_RATE:
+        raise ValueError(f"poisson_rate must lie in [0, {MAX_POISSON_RATE:g}], got {poisson_rate}")
     root_seq = np.random.SeedSequence(rng_seed)
     graph_width = len(str(max(n_graphs - 1, 0)))
     case_width = len(str(max(cases_per_graph - 1, 0)))
-    dags, entries = [], []
-    for graph_seq in root_seq.spawn(n_graphs):
+    graphs = []
+    for g, graph_seq in enumerate(root_seq.spawn(n_graphs)):
         streams = graph_seq.spawn(cases_per_graph + 1)
         dag = generate_dag(n_node, n_edge, np.random.default_rng(streams[0]))
         dag.W  # solve here, so pool workers receive W with the dag
-        dags.append(dag)
-        entries += [CaseRecipe(f"c{c:0{case_width}d}", dag, streams[c + 1],
-                               t_ref, t_delay, t_test, poisson_rate)
-                    for c in range(cases_per_graph)]
-    records = iter(_pool_map(_draw, entries, jobs) if draw_cases else entries)
-    graphs = tuple(GraphRecord(f"g{g:0{graph_width}d}", dag.to_causal_graph(),
-                               tuple(islice(records, cases_per_graph)), dag)
-                   for g, dag in enumerate(dags))
+        recipes = [CaseRecipe(f"c{c:0{case_width}d}", dag, streams[c + 1],
+                              t_ref, t_delay, t_test, poisson_rate) for c in range(cases_per_graph)]
+        graphs.append(GraphRecord(f"g{g:0{graph_width}d}", dag.to_causal_graph(), recipes, dag))
     params = {
         "n_node": n_node, "n_edge": n_edge, "n_graphs": n_graphs,
         "cases_per_graph": cases_per_graph, "seed": rng_seed,
@@ -514,27 +505,18 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
     _pool_map(_save_record, tasks, jobs)
 
 
-def load_dataset(directory, jobs: Optional[int] = None,
-                 read_cases: bool = True) -> SimulatedDataset:
+def load_dataset(directory) -> SimulatedDataset:
     """Read a dataset directory written by save_dataset.
 
     Graphs load as topology only, ``dag`` None; weights that older
-    graph.json files carry are ignored.  ``jobs`` > 1 reads the cases on a
-    process pool, to the same result.  With ``read_cases`` False the cases
-    are their directories, for ``evaluate`` to read on the worker that
-    scores each one.
+    graph.json files carry are ignored.  Each case is its directory, read
+    by ``case_record`` where it is used (``evaluate`` does so in the task
+    that scores it), so a malformed case is reported there.
     """
     directory = Path(directory)
     manifest = directory / "manifest.json"
     params = read_json(manifest) if manifest.exists() else {}
-    found = []
-    for graph_dir in sorted(p for p in directory.iterdir() if p.is_dir()):
-        graph_file = graph_dir / "graph.json"
-        if graph_file.exists():
-            case_dirs = sorted(p for p in graph_dir.iterdir() if p.is_dir())
-            found.append((graph_dir.name, load_graph(graph_file), case_dirs))
-    case_dirs = [d for *_, dirs in found for d in dirs]
-    records = iter(_pool_map(_load_record, case_dirs, jobs) if read_cases else case_dirs)
-    graphs = tuple(GraphRecord(graph_id, graph, tuple(islice(records, len(dirs))))
-                   for graph_id, graph, dirs in found)
+    graph_dirs = sorted(p for p in directory.iterdir() if (p / "graph.json").exists())
+    graphs = [GraphRecord(d.name, load_graph(d / "graph.json"),
+                          sorted(p for p in d.iterdir() if p.is_dir())) for d in graph_dirs]
     return SimulatedDataset(graphs=graphs, params=params)

@@ -23,6 +23,7 @@ from rcakit.scoring import descendant_adjust, rank, rht_score
 from rcakit.simulation import (
     WeightedDag,
     apply_noise_shift,
+    case_record,
     generate_dag,
     generate_dataset,
     propagation_matrix,
@@ -102,7 +103,7 @@ def test_criterion_05_method_ordering(d50_report):
 def test_criterion_06_fault_type_skew(d50):
     counts = {}
     for g in d50.graphs:
-        for c in g.cases:
+        for c in map(case_record, g.cases):
             counts[c.fault_type] = counts.get(c.fault_type, 0) + 1
     total = sum(counts.values())
     weak = counts.get("Weak", 0) / total

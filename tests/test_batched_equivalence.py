@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from rcakit.scoring import descendant_adjust, rank, rht_score
-from rcakit.simulation import load_dataset
+from rcakit.simulation import case_record, load_dataset
 
 import per_node_reference as reference
 
@@ -61,8 +61,8 @@ def test_batched_engine_matches_per_node_path(tmp_path, sizes):
     worst = {"rht": 0.0, "rht-pg": 0.0}
     for record in dataset.graphs:
         graph = record.graph
-        for case_record in record.cases:
-            case = case_record.case
+        for entry in record.cases:
+            case = case_record(entry).case
             n_cases += 1
             for name, lagged in (("rht", False), ("rht-pg", True)):
                 got = rht_score(case, graph, use_lagged_self=lagged)

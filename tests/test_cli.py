@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from rcakit import simulation
 from rcakit.cli import build_parser, main
 from rcakit.errors import MalformedInput
 from rcakit.model import CausalGraph, load_case, load_graph
-from rcakit.simulation import load_dataset
+from rcakit.simulation import case_record, load_dataset
 
 from conftest import read_tree_bytes
 
@@ -82,6 +84,44 @@ def test_simulate_refuses_non_empty_out(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     assert read_tree_bytes(out) == before  # the first dataset is left intact
     assert sorted(p.name for p in (out / "g0").iterdir() if p.is_dir()) == ["c0", "c1", "c2"]
+
+
+@pytest.mark.parametrize("windows, named", [
+    (["--t-delay", "0"], "t_delay=0"),   # no room for the fault's two samples
+    (["--t-delay", "-1"], "t_delay=-1"),
+    (["--t-ref", "3", "--t-test", "10"], "t_ref=3"),
+    (["--t-test", "10", "--t-delay", "10"], "t_delay=10"),
+], ids=["zero-delay", "negative-delay", "short-reference", "delay-fills-test"])
+def test_simulate_checks_windows_before_writing(tmp_path, capsys, windows, named):
+    out = tmp_path / "ds"
+    assert main(["simulate", "--nodes", "5", "--edges", "4", "--graphs", "1", "--cases", "1",
+                 "--seed", "1", "--jobs", "1", "--out", str(out), *windows]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and len(err.splitlines()) == 1
+    assert not out.exists()  # nothing written, so a corrected rerun may use --out
+
+
+def test_simulate_smallest_windows_control(tmp_path):
+    # t_delay 1 leaves room for the fault; t_test may equal t_ref
+    assert main(["simulate", "--nodes", "5", "--edges", "4", "--graphs", "1", "--cases", "2",
+                 "--seed", "1", "--jobs", "1", "--out", str(tmp_path / "ds"),
+                 "--t-ref", "2", "--t-delay", "1", "--t-test", "2"]) == 0
+    assert len(load_case(tmp_path / "ds" / "g0" / "c1").case.values) == 4
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array"),
+     "error: out of memory: Unable to allocate 7.28 TiB for an array"),
+    (MemoryError(), "error: out of memory: an allocation failed"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, exc, line):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(simulation, "generate_dag", exhausted)
+    assert main(["simulate", "--nodes", "5", "--edges", "4", "--seed", "1",
+                 "--out", str(tmp_path / "ds")]) == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_graph_command_golden(tmp_path, capsys):
@@ -336,6 +376,26 @@ def test_option_surface():
     }
 
 
+def test_library_surface():
+    # the twin of test_option_surface: every parameter of the library's entry
+    # points by name, so a new option is an edit here
+    from rcakit import evaluate, generate_dataset, rht_score, save_dataset
+    from rcakit.regression import fit_stacks
+
+    surface = {f.__name__: list(inspect.signature(f).parameters)
+               for f in (generate_dataset, load_dataset, save_dataset, evaluate, rht_score,
+                         fit_stacks)}
+    assert surface == {
+        "generate_dataset": ["n_node", "n_edge", "n_graphs", "cases_per_graph", "rng_seed",
+                             "t_ref", "t_delay", "t_test", "poisson_rate"],
+        "load_dataset": ["directory"],
+        "save_dataset": ["dataset", "out_dir", "jobs"],
+        "evaluate": ["dataset", "methods", "k_max", "threshold", "jobs", "windows"],
+        "rht_score": ["case", "graph", "use_lagged_self"],
+        "fit_stacks": ["data", "targets", "groups"],
+    }
+
+
 def analyze_raw(dataset_dir, tmp_path, *extra):
     case_dir = dataset_dir / "g0" / "c0"
     out = tmp_path / "scores.json"
@@ -541,7 +601,9 @@ def write_one_case_dataset(root, manifest, meta):
 def test_evaluate_malformed_dataset_names_the_file(tmp_path, capsys, manifest, meta, culprit):
     write_one_case_dataset(tmp_path / "ds", manifest, meta)
     with pytest.raises(MalformedInput, match=culprit):
-        load_dataset(tmp_path / "ds")
+        for graph in load_dataset(tmp_path / "ds").graphs:  # the manifest is read here
+            for entry in graph.cases:
+                case_record(entry)  # and each case here
     assert main(["evaluate", str(tmp_path / "ds"), "--scorers", "nsigma", "--jobs", "1",
                  "--out", str(tmp_path / "report.json")]) == 1
     err = capsys.readouterr().err

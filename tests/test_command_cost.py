@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import yaml
 from rcakit import archgraph, simulation
 from rcakit.cli import main
 from rcakit.evaluation import evaluate
-from rcakit.simulation import CaseRecipe, generate_dataset, load_dataset, save_dataset
+from rcakit.simulation import CaseRecipe, case_record, generate_dataset, load_dataset, save_dataset
 
 from conftest import read_tree_bytes
 
@@ -192,10 +193,16 @@ def test_evaluate_pool_raises_the_first_bad_case_in_case_order(dataset, tmp_path
     assert not (tmp_path / "report.json").exists()
 
 
+def resolved(dataset):
+    """``dataset`` with every case turned into its ``CaseRecord``."""
+    return replace(dataset, graphs=tuple(replace(g, cases=tuple(map(case_record, g.cases)))
+                                         for g in dataset.graphs))
+
+
 def test_evaluate_records_and_directories_score_alike(dataset):
     methods = ["rht-pg", "circa", "nsigma", "dfs", "ideal"]
-    read = load_dataset(dataset)
-    unread = load_dataset(dataset, read_cases=False)
+    unread = load_dataset(dataset)
+    read = resolved(unread)
     assert [c.case_id for g in read.graphs for c in g.cases] == [
         c.name for g in unread.graphs for c in g.cases]
     for jobs in (1, 2):
@@ -208,10 +215,9 @@ def test_evaluate_records_and_directories_score_alike(dataset):
 
 
 def test_simulate_recipes_write_the_drawn_bytes(tmp_path):
-    kwargs = dict(n_node=8, n_edge=15, n_graphs=2, cases_per_graph=9, rng_seed=21)
-    save_dataset(generate_dataset(**kwargs), tmp_path / "drawn")
-    recipes = generate_dataset(**kwargs, draw_cases=False)
+    recipes = generate_dataset(8, 15, n_graphs=2, cases_per_graph=9, rng_seed=21)
     assert all(isinstance(c, CaseRecipe) for g in recipes.graphs for c in g.cases)
+    save_dataset(resolved(recipes), tmp_path / "drawn")
     drawn = read_tree_bytes(tmp_path / "drawn")
     for jobs in (1, 2):
         save_dataset(recipes, tmp_path / f"recipes{jobs}", jobs=jobs)

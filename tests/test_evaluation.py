@@ -21,7 +21,7 @@ from rcakit.scoring import (
     run_scorer,
     score_case,
 )
-from rcakit.simulation import SimulatedDataset, generate_dataset
+from rcakit.simulation import SimulatedDataset, case_record, generate_dataset
 
 
 def gt(*metrics):
@@ -137,9 +137,10 @@ def broken_dataset(dataset):
     """``dataset`` with series m5 dropped from its first case, so the
     regression scorers fail there."""
     g0 = dataset.graphs[0]
-    broken_case = g0.cases[0].case
+    first = case_record(g0.cases[0])
+    broken_case = first.case
     kept = [j for j, m in enumerate(broken_case.metrics) if m != "m5"]
-    broken = replace(g0.cases[0], case=replace(
+    broken = replace(first, case=replace(
         broken_case, metrics=tuple(broken_case.metrics[j] for j in kept),
         values=broken_case.values[:, kept],
     ))
@@ -236,7 +237,7 @@ ALL_SUBSETS = [list(c) for r in range(1, 7) for c in combinations(SCORER_NAMES, 
 
 def test_score_case_every_subset_equals_each_scorer_alone(tiny_dataset):
     assert len(ALL_SUBSETS) == 63
-    records = [(g, c) for g in tiny_dataset.graphs for c in g.cases[:2]]
+    records = [(g, case_record(c)) for g in tiny_dataset.graphs for c in g.cases[:2]]
     for g, record in records:
         args = (record.case, g.graph, record.truth)
         alone = {}
@@ -268,7 +269,7 @@ def counting(monkeypatch, name):
 
 def test_score_case_runs_each_detector_once(tiny_dataset, monkeypatch):
     g = tiny_dataset.graphs[0]
-    record = g.cases[0]
+    record = case_record(g.cases[0])
     rht_calls = counting(monkeypatch, "rht_score")
     nsigma_calls = counting(monkeypatch, "nsigma_score")
     outcomes = score_case(record.case, g.graph, record.truth, SCORER_NAMES)
@@ -291,7 +292,7 @@ def test_score_case_charges_shared_detector_to_every_user(tiny_dataset, monkeypa
 
         monkeypatch.setattr(scoring, name, slow)
     g = tiny_dataset.graphs[0]
-    record = g.cases[0]
+    record = case_record(g.cases[0])
     outcomes = score_case(record.case, g.graph, record.truth, SCORER_NAMES)
     seconds = dict(zip(SCORER_NAMES, (s for _, s in outcomes)))
     assert seconds == {"rht": 1.0, "rht-pg": 1.0, "circa": 1.0,
@@ -301,7 +302,7 @@ def test_score_case_charges_shared_detector_to_every_user(tiny_dataset, monkeypa
 def test_failing_detector_is_tried_once(tiny_dataset, monkeypatch):
     dataset = broken_dataset(tiny_dataset)
     g = dataset.graphs[0]
-    record = g.cases[0]
+    record = case_record(g.cases[0])
     rht_calls = counting(monkeypatch, "rht_score")
     outcomes = score_case(record.case, g.graph, record.truth, SCORER_NAMES)
     assert sorted(rht_calls) == [False, True]

@@ -1,10 +1,10 @@
-"""One ``fit_group`` call per detector against one call per feature count.
+"""One ``fit_stacks`` call per detector against one call per feature count.
 
-Fitting every member in one call changes only how members are grouped
-and when the residual statistics are taken, so it must reproduce the
-per-count results bit for bit.  Floats are compared through their
-uint64 bit patterns, not by ``==``: that also tells -0.0 from 0.0 and
-holds NaN equal to the same NaN.
+Fitting every group in one call changes only when the residual
+statistics are taken, so it must reproduce the per-count results bit
+for bit.  Floats are compared through their uint64 bit patterns, not by
+``==``: that also tells -0.0 from 0.0 and holds NaN equal to the same
+NaN.
 """
 
 import numpy as np
@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcakit.regression import COEF_LIMIT, centre, fit_group
+from rcakit.regression import COEF_LIMIT, centre, fit_stacks
 from rcakit.scoring import rht_score
-from rcakit.simulation import generate_dataset
+from rcakit.simulation import case_record, generate_dataset
 
 import group_reference as reference
 
@@ -28,13 +28,14 @@ def bits(values):
 def test_rht_score_equals_the_per_count_loop(nodes, edges, graphs, cases):
     dataset = generate_dataset(nodes, edges, n_graphs=graphs, cases_per_graph=cases, rng_seed=19)
     for record in dataset.graphs:
-        for case_record in record.cases:
+        for entry in record.cases:
+            drawn = case_record(entry)
             for lagged in (False, True):  # rht, then rht-pg
-                got = rht_score(case_record.case, record.graph, use_lagged_self=lagged)
-                want = reference.rht_score(case_record.case, record.graph, use_lagged_self=lagged)
+                got = rht_score(drawn.case, record.graph, use_lagged_self=lagged)
+                want = reference.rht_score(drawn.case, record.graph, use_lagged_self=lagged)
                 assert list(got) == list(want)
                 assert np.array_equal(bits(list(got.values())), bits(list(want.values()))), \
-                    (case_record.case_id, lagged)
+                    (drawn.case_id, lagged)
 
 
 def special_columns():
@@ -46,9 +47,9 @@ def special_columns():
     return np.column_stack([u, u + 1e-9 * v, 1e6 * (u + v), w, w])
 
 
-#: Members of every drawn call: featureless, the COEF_LIMIT fallback and
-#: the singular twin-column fit.
-SPECIAL_MEMBERS = [(0, []), (2, [0, 1]), (0, [3, 4])]
+#: Members of every drawn call, by feature count: featureless, then the
+#: COEF_LIMIT fallback and the singular twin-column fit.
+SPECIAL_GROUPS = {0: [(0, [])], 2: [(2, [0, 1]), (0, [3, 4])]}
 
 
 def test_special_members_take_the_fallbacks():
@@ -62,37 +63,47 @@ def test_special_members_take_the_fallbacks():
 
 
 @st.composite
-def ragged_calls(draw):
+def grouped_calls(draw):
+    """Whole per-count groups of (target, features) members, in drawn order,
+    and a drawn position in the call for every member."""
     extra = draw(st.integers(1, 4))
     n_col = 5 + extra
     seed = draw(st.integers(0, 2**32 - 1))
     m = draw(st.integers(1, 4))
-    drawn = draw(st.lists(st.tuples(st.integers(0, n_col - 1),
-                                    st.lists(st.integers(0, n_col - 1), max_size=4, unique=True)),
-                          max_size=8))
-    members = draw(st.permutations(SPECIAL_MEMBERS + drawn))
-    return seed, extra, m, members
+    column = st.integers(0, n_col - 1)
+    groups = {q: list(members) for q, members in SPECIAL_GROUPS.items()}
+    for q in draw(st.lists(st.integers(0, 4), unique=True, max_size=4)):
+        groups.setdefault(q, []).extend(draw(st.lists(
+            st.tuples(column, st.lists(column, min_size=q, max_size=q, unique=True)),
+            min_size=1, max_size=3)))
+    groups = [draw(st.permutations(members))
+              for members in draw(st.permutations(list(groups.values())))]
+    positions = draw(st.permutations(range(sum(map(len, groups)))))
+    return seed, extra, m, groups, positions
 
 
 @settings(max_examples=60, deadline=None)
-@given(ragged_calls())
+@given(grouped_calls())
 def test_one_ragged_call_equals_one_call_per_count(call):
-    seed, extra, m, members = call
+    seed, extra, m, groups, positions = call
     rng = np.random.default_rng(seed)
     ref = np.column_stack([special_columns(), rng.normal(size=(30, extra)) * 10.0])
     new = rng.normal(size=(m, ref.shape[1]))
     data = centre(ref, new)
-    targets = [t for t, _ in members]
-    features = [f for _, f in members]
-    whole = fit_group(data, targets, features)
-    assert len(whole.coefficients) == len(members)
-    for q in {len(f) for f in features}:
-        rows = [i for i, f in enumerate(features) if len(f) == q]
-        part = fit_group(data, [targets[i] for i in rows],
-                         np.array([features[i] for i in rows], dtype=np.intp).reshape(len(rows), q))
-        for j, i in enumerate(rows):
-            assert whole.coefficients[i].shape == (q,)
-            assert np.array_equal(bits(whole.coefficients[i]), bits(part.coefficients[j]))
-            for field in ("intercept", "residual_mean", "residual_std", "deviation"):
-                got, want = getattr(whole, field)[i], getattr(part, field)[j]
-                assert np.array_equal(bits(got), bits(want)), (field, members[i])
+    targets = np.empty(len(positions), dtype=np.intp)
+    stacks, start = [], 0
+    for members in groups:
+        at = np.array(positions[start:start + len(members)], dtype=np.intp)
+        start += len(members)
+        targets[at] = [t for t, _ in members]
+        q = len(members[0][1])
+        stacks.append((at, np.array([f for _, f in members], dtype=np.intp).reshape(len(at), q)))
+    whole = fit_stacks(data, targets, stacks)
+    assert len(whole.coefficients) == len(stacks)
+    for coefficients, (at, index) in zip(whole.coefficients, stacks):
+        part = fit_stacks(data, targets[at], [(np.arange(len(at)), index)])
+        assert coefficients.shape == index.shape
+        assert np.array_equal(bits(coefficients), bits(part.coefficients[0]))
+        for field in ("intercept", "residual_mean", "residual_std", "deviation"):
+            got, want = getattr(whole, field)[at], getattr(part, field)
+            assert np.array_equal(bits(got), bits(want)), (field, index.shape)

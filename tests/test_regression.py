@@ -3,7 +3,7 @@ import pytest
 
 from rcakit.errors import DimensionMismatch, InsufficientData
 from rcakit.model import CausalGraph
-from rcakit.regression import COEF_LIMIT, centre, fit_group, sigma_floor
+from rcakit.regression import COEF_LIMIT, centre, fit_stacks, sigma_floor
 from rcakit.scoring import rht_score
 
 from conftest import make_case
@@ -30,8 +30,8 @@ class OneFit:
         q = X.shape[1]
         new = np.empty((0, q)) if new_rows is None else np.asarray(new_rows, dtype=float)
         data = centre(np.column_stack([y, X]), np.column_stack([np.zeros(len(new)), new]))
-        fit = fit_group(data, [0], np.arange(1, q + 1).reshape(1, q))
-        self.coefficients = fit.coefficients[0]
+        fit = fit_stacks(data, np.array([0]), [(np.array([0]), np.arange(1, q + 1).reshape(1, q))])
+        self.coefficients = fit.coefficients[0][0]
         self.intercept = float(fit.intercept[0])
         self.residual_mean = float(fit.residual_mean[0])
         self.residual_std = float(fit.residual_std[0])
@@ -121,12 +121,6 @@ def test_predict_dimension_mismatch():
         centre(ref, [[1.0, 2.0, 3.0]])
     with pytest.raises(DimensionMismatch):
         centre(ref, np.zeros(2))
-    with pytest.raises(DimensionMismatch):
-        fit_group(centre(ref, np.zeros((3, 2))), [0, 1], [[1]])
-    with pytest.raises(DimensionMismatch):
-        fit_group(centre(ref, np.zeros((3, 2))), [0, 1], [1, 0])  # not one sequence per member
-    with pytest.raises(DimensionMismatch):
-        fit_group(centre(ref, np.zeros((3, 2))), [0], [[[1]]])
 
 
 def test_training_residual_mean_is_zero():
@@ -192,17 +186,18 @@ def test_singular_member_does_not_move_its_neighbours(monkeypatch):
     ref[:, 2] = ref[:, 0]  # columns 0 and 2 are twins
     new = rng.normal(size=(5, 6))
     data = centre(ref, new)
-    targets, features = [3, 4, 5], np.array([[0, 2], [0, 1], [1, 2]])
+    targets, features = np.array([3, 4, 5]), np.array([[0, 2], [0, 1], [1, 2]])
     calls = spy_solve(monkeypatch)
-    group = fit_group(data, targets, features)
+    group = fit_stacks(data, targets, [(np.arange(3), features)])
     assert calls[0][0] == (3, 2, 2) and calls[0][1] is None  # the stacked solve raised
     for i in (1, 2):
-        solo = fit_group(data, targets[i:i + 1], features[i:i + 1])
-        for got, want in zip(group, solo):
+        solo = fit_stacks(data, targets[i:i + 1], [(np.arange(1), features[i:i + 1])])
+        assert np.array_equal(group.coefficients[0][i], solo.coefficients[0][0])
+        for got, want in zip(group[1:], solo[1:]):
             assert np.array_equal(got[i], want[0])
     # the singular member takes the minimum-norm solution
     Xc, yc = ref[:, [0, 2]] - ref[:, [0, 2]].mean(axis=0), ref[:, 3] - ref[:, 3].mean()
-    assert np.allclose(group.coefficients[0], np.linalg.lstsq(Xc, yc, rcond=1e-9)[0],
+    assert np.allclose(group.coefficients[0][0], np.linalg.lstsq(Xc, yc, rcond=1e-9)[0],
                        rtol=1e-12, atol=0)
 
 
@@ -226,9 +221,10 @@ def test_featureless_group(monkeypatch):
     ref = rng.normal(size=(30, 3)) * [1.0, 10.0, 0.0] + [0.0, -4.0, 2.0]
     new = rng.normal(size=(4, 3))
     calls = spy_solve(monkeypatch)
-    fit = fit_group(centre(ref, new), [0, 1, 2], np.empty((3, 0), dtype=np.intp))
+    members = np.arange(3)
+    fit = fit_stacks(centre(ref, new), members, [(members, np.empty((3, 0), dtype=np.intp))])
     assert calls == []
-    assert [c.shape for c in fit.coefficients] == [(0,)] * 3
+    assert [c.shape for c in fit.coefficients] == [(3, 0)]
     assert np.allclose(fit.intercept, ref.mean(axis=0), rtol=1e-15, atol=0)
     assert np.allclose(fit.residual_std, np.maximum(ref.std(axis=0), sigma_floor(ref.std(axis=0))))
     assert fit.residual_std[2] == sigma_floor(0.0)

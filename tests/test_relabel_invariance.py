@@ -1,19 +1,23 @@
-"""What metrics are called, and which other columns a case holds, must not
-change their scores.
+"""What metrics are called, which other columns a case holds, and where
+its clock starts must not change their scores.
 
 Graph node ids follow the sorted names, and a case maps them to its
 columns, so a rename that reorders the names, or a column that is in no
-edge, moves every node's id or column.  Each property is checked against
-rcakit itself on simulated cases.
+edge, moves every node's id or column.  Windows are found from
+timestamps, so a case whose start and detection times move together
+must select the same rows.  Each property is checked against rcakit
+itself on simulated cases.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcakit.model import Case, CausalGraph
-from rcakit.scoring import run_scorer
-from rcakit.simulation import generate_dataset
+from rcakit.scoring import SCORER_NAMES, run_scorer
+from rcakit.simulation import case_record, generate_dataset
 
 SCORERS = ("rht", "rht-pg", "circa", "dfs")
 
@@ -24,12 +28,12 @@ def bits(values):
 
 @st.composite
 def simulated(draw):
-    """A simulated case, its graph, and a seed for what the test draws."""
+    """A simulated case record, its graph, and a seed for what the test draws."""
     nodes = draw(st.integers(6, 16))
     dataset = generate_dataset(nodes, draw(st.integers(nodes - 1, 2 * nodes)), n_graphs=1,
                                cases_per_graph=1, rng_seed=draw(st.integers(0, 2**16)))
     [record] = dataset.graphs
-    return record.cases[0].case, record.graph, draw(st.integers(0, 2**32 - 1))
+    return case_record(record.cases[0]), record.graph, draw(st.integers(0, 2**32 - 1))
 
 
 def relabelled(case, graph, rename):
@@ -62,7 +66,8 @@ def assert_bit_identical(got, want):
 @settings(max_examples=25, deadline=None)
 @given(simulated())
 def test_order_preserving_rename_gives_bit_identical_scores(drawn):
-    case, graph, _ = drawn
+    record, graph, _ = drawn
+    case = record.case
     rename = {m: f"svc.{m}" for m in case.metrics}
     back = {v: m for m, v in rename.items()}
     renamed, renamed_graph = relabelled(case, graph, rename)
@@ -75,7 +80,8 @@ def test_order_preserving_rename_gives_bit_identical_scores(drawn):
 @settings(max_examples=25, deadline=None)
 @given(simulated())
 def test_permuting_rename_gives_the_same_score_per_metric(drawn):
-    case, graph, seed = drawn
+    record, graph, seed = drawn
+    case = record.case
     order = np.random.default_rng(seed).permutation(len(case.metrics))
     rename = {m: f"x{order[j]:03d}" for j, m in enumerate(case.metrics)}
     back = {v: m for m, v in rename.items()}
@@ -97,7 +103,8 @@ def test_permuting_rename_gives_the_same_score_per_metric(drawn):
 @settings(max_examples=25, deadline=None)
 @given(simulated(), st.sampled_from(["a.first", "m0035", "zz.last"]))
 def test_a_column_in_no_edge_leaves_graph_scores_bit_identical(drawn, extra):
-    case, graph, seed = drawn
+    record, graph, seed = drawn
+    case = record.case
     noise = np.random.default_rng(seed).normal(size=case.length) * 10.0
     wider = Case(metrics=case.metrics + (extra,), values=np.column_stack([case.values, noise]),
                  start_time=case.start_time, interval=case.interval,
@@ -109,3 +116,17 @@ def test_a_column_in_no_edge_leaves_graph_scores_bit_identical(drawn, extra):
         # nsigma, behind dfs, scores the new column too: drop that entry.
         raw = {m: s for m, s in got.raw.items() if m != extra}
         assert_bit_identical((raw, got.adjusted, got_ranking), (table.raw, table.adjusted, ranking))
+
+
+@settings(max_examples=25, deadline=None)
+@given(simulated(), st.one_of(st.integers(-10, 10), st.integers(-10**12, 10**12)))
+def test_shifting_the_clock_gives_bit_identical_scores(drawn, shift):
+    record, graph, _ = drawn
+    case = record.case
+    moved = replace(case, start_time=case.start_time + shift,
+                    detect_time=case.detect_time + shift)
+    for scorer in SCORER_NAMES:
+        table, ranking = run_scorer(scorer, case, graph, record.truth)
+        got, got_ranking = run_scorer(scorer, moved, graph, record.truth)
+        assert_bit_identical((got.raw, got.adjusted, got_ranking),
+                             (table.raw, table.adjusted, ranking))

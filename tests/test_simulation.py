@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rcakit.simulation import (
     InjectedFault,
     WeightedDag,
     apply_noise_shift,
+    case_record,
     classify_fault,
     draw_root_count,
     generate_case,
@@ -147,7 +149,7 @@ def test_propagation_matrix_solved_once_per_graph(tmp_path, monkeypatch):
     calls.clear()
     loaded = load_dataset(tmp_path / "ds")
     for g in loaded.graphs:
-        for record in g.cases:
+        for record in map(case_record, g.cases):
             for name in SCORER_NAMES:
                 run_scorer(name, record.case, g.graph, record.truth)
     assert calls == []
@@ -226,7 +228,7 @@ def test_generate_dataset_shape_and_labels():
     assert ds.n_cases() == 10
     for g in ds.graphs:
         assert len(g.graph.nodes) == 10
-        for record in g.cases:
+        for record in map(case_record, g.cases):
             case = record.case
             assert case.length == case.t_ref + case.t_delay + 1
             assert case.detect_time == case.t_ref
@@ -242,19 +244,29 @@ def test_generate_dataset_reproducible():
     b = generate_dataset(10, 20, n_graphs=2, cases_per_graph=3, rng_seed=6)
     for ga, gb in zip(a.graphs, b.graphs):
         assert (ga.dag.A == gb.dag.A).all()
-        for ca, cb in zip(ga.cases, gb.cases):
+        for ca, cb in zip(map(case_record, ga.cases), map(case_record, gb.cases)):
             assert ca.case_id == cb.case_id
             assert ca.case == cb.case
             assert ca.truth == cb.truth
             assert ca.fault_type == cb.fault_type
 
 
-def test_generate_dataset_parallel_matches_serial():
-    serial = generate_dataset(10, 20, n_graphs=1, cases_per_graph=6, rng_seed=2)
-    parallel = generate_dataset(10, 20, n_graphs=1, cases_per_graph=6, rng_seed=2, jobs=2)
-    for ca, cb in zip(serial.graphs[0].cases, parallel.graphs[0].cases):
-        assert ca.case == cb.case
-        assert ca.truth == cb.truth
+@pytest.mark.parametrize("recipe, named", [
+    (dict(t_delay=0), "t_delay=0"),
+    (dict(t_delay=-1), "t_delay=-1"),
+    (dict(t_ref=3, t_test=10), "t_ref=3, t_delay=5, t_test=10"),
+    (dict(t_test=5), "t_delay=5, t_test=5"),
+    (dict(poisson_rate=-1.0), "got -1.0"),
+    (dict(poisson_rate=float("nan")), "got nan"),
+    (dict(poisson_rate=1e19), "got 1e+19"),
+])
+def test_generate_dataset_checks_its_recipe_before_drawing(monkeypatch, recipe, named):
+    def drawn(*args):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr(simulation, "generate_dag", drawn)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        generate_dataset(5, 4, n_graphs=1, cases_per_graph=1, **recipe)
 
 
 def manifest_rebuild(params):
@@ -283,7 +295,7 @@ def test_dataset_disk_roundtrip(tmp_path):
         # the weights are not lost: the manifest's recipe redraws them exactly
         assert np.array_equal(gr.dag.A, ga.dag.A)
         assert np.array_equal(gr.dag.sigma, ga.dag.sigma)
-        for ca, cb in zip(ga.cases, gb.cases):
+        for ca, cb in zip(map(case_record, ga.cases), map(case_record, gb.cases)):
             assert ca.case_id == cb.case_id
             assert ca.case == cb.case
             assert ca.truth == cb.truth
@@ -299,27 +311,6 @@ def test_save_dataset_pooled_bytes_match_serial(tmp_path):
     assert read_tree_bytes(tmp_path / "pooled") == serial
 
 
-def test_load_dataset_pooled_matches_serial(tmp_path):
-    ds = generate_dataset(8, 15, n_graphs=3, cases_per_graph=11, rng_seed=22)
-    save_dataset(ds, tmp_path / "ds")
-    serial = load_dataset(tmp_path / "ds", jobs=1)
-    pooled = load_dataset(tmp_path / "ds", jobs=2)
-    assert pooled.params == serial.params
-    assert [g.graph_id for g in pooled.graphs] == [g.graph_id for g in serial.graphs]
-    for gs, gp in zip(serial.graphs, pooled.graphs):
-        assert gp.graph == gs.graph
-        assert [c.case_id for c in gp.cases] == [c.case_id for c in gs.cases]
-        assert len(gp.cases) == 11
-        for cs, cp in zip(gs.cases, gp.cases):
-            assert cp.case.metrics == cs.case.metrics
-            assert cp.truth == cs.truth
-            assert cp.fault_type == cs.fault_type
-            # bit for bit, so -0.0 against 0.0 or a NaN would show
-            assert np.array_equal(cp.case.values.view(np.uint64), cs.case.values.view(np.uint64))
-            assert cp.case == cs.case
-            assert not cp.case.values.flags.writeable
-
-
 def test_load_dataset_reads_graph_json_with_weights(tmp_path):
     ds = generate_dataset(8, 15, n_graphs=1, cases_per_graph=2, rng_seed=4)
     save_dataset(ds, tmp_path / "ds")
@@ -332,7 +323,8 @@ def test_load_dataset_reads_graph_json_with_weights(tmp_path):
     loaded = load_dataset(tmp_path / "ds").graphs[0]
     assert loaded.graph == record.graph
     assert loaded.dag is None
-    assert [c.case for c in loaded.cases] == [c.case for c in record.cases]
+    assert ([case_record(c).case for c in loaded.cases]
+            == [case_record(c).case for c in record.cases])
 
 
 def test_save_dataset_refuses_non_empty_dir(tmp_path):
