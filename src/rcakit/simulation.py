@@ -199,31 +199,32 @@ def simulate_matrix(dag: WeightedDag, length: int, rng_seed) -> np.ndarray:
     if length < 2:
         raise ValueError("length must be at least 2 samples")
     rng = np.random.default_rng(rng_seed)
-    W = dag.W
-    noise = rng.standard_normal((length, dag.n)) * dag.sigma
-    X = np.empty((length, dag.n))
-    X[0] = W @ noise[0]
-    for t in range(1, length):
-        X[t] = W @ (dag.beta * X[t - 1] + noise[t])
+    return _propagate(dag, rng.standard_normal((length, dag.n)) * dag.sigma)
+
+
+def _propagate(dag: WeightedDag, E: np.ndarray) -> np.ndarray:
+    """The rows ``x_t = W (beta x_{t-1} + e_t)`` driven by the noise rows
+    ``E``, from ``x_{-1} = 0``."""
+    W, beta = dag.W, dag.beta
+    X = np.empty_like(E)
+    x = np.zeros(dag.n)
+    for t, e in enumerate(E):
+        x = X[t] = W @ (beta * x + e)
     return X
 
 
 @dataclass(frozen=True)
 class InjectedFault:
-    """Ground truth of one injected fault."""
+    """Ground truth of one injected fault; its root causes key ``alpha``."""
 
-    root_causes: frozenset[int]
     alpha: dict[int, float]
     start: int
     fault_type: FaultType
     duration: int = FAULT_DURATION
 
-    def __post_init__(self):
-        object.__setattr__(self, "root_causes", frozenset(self.root_causes))
-        if not self.root_causes:
-            raise ValueError("a fault needs at least one root cause")
-        if set(self.alpha) != set(self.root_causes):
-            raise ValueError("alpha must cover exactly the root causes")
+    @property
+    def root_causes(self) -> frozenset[int]:
+        return frozenset(self.alpha)
 
 
 def classify_fault(dag: WeightedDag, sigma_hat: Sequence[float],
@@ -263,26 +264,12 @@ def apply_noise_shift(dag: WeightedDag, X: np.ndarray, at_index: int,
     T = X.shape[0]
     if not 0 <= at_index <= T - FAULT_DURATION:
         raise ValueError(f"fault at row {at_index} does not fit in {T} samples")
-    shift = np.zeros(dag.n)
+    pulse = np.zeros((T - at_index, dag.n))
     for i, a in alpha.items():
-        shift[int(i)] = a * dag.sigma[int(i)]
-    W = dag.W
+        pulse[:FAULT_DURATION, int(i)] = a * dag.sigma[int(i)]
     out = X.copy()
-    delta = W @ shift
-    out[at_index] += delta
-    for t in range(at_index + 1, T):
-        pulse = shift if t - at_index < FAULT_DURATION else 0.0
-        delta = W @ (dag.beta * delta + pulse)
-        out[t] += delta
+    out[at_index:] += _propagate(dag, pulse)
     return out
-
-
-def _reference_std(X: np.ndarray, at_index: int, t_ref: int, t_test: int) -> np.ndarray:
-    lo, hi = at_index - t_ref, at_index - t_test
-    if lo < 0 or hi < lo:
-        raise ValueError("series too short for the reference window before the fault")
-    sigma_hat = X[lo:hi + 1].std(axis=0)
-    return np.maximum(sigma_hat, 1e-12)
 
 
 def _sample_fault(dag: WeightedDag, sigma_hat: np.ndarray,
@@ -306,6 +293,16 @@ def _sample_fault(dag: WeightedDag, sigma_hat: np.ndarray,
     raise NoEffectiveFault(
         f"no sampled root set moved the SLI after {max_retries} attempts"
     )
+
+
+def _check_recipe(t_ref: int, t_delay: int, t_test: int, poisson_rate: float) -> None:
+    """ValueError naming the values unless a fault of FAULT_DURATION rows
+    fits after a reference window, and the root-count rate can be sampled."""
+    if not FAULT_DURATION - 1 <= t_delay < t_test <= t_ref:
+        raise ValueError(f"simulation needs {FAULT_DURATION - 1} <= t_delay < t_test <= t_ref, "
+                         f"got t_ref={t_ref}, t_delay={t_delay}, t_test={t_test}")
+    if not 0 <= poisson_rate <= MAX_POISSON_RATE:
+        raise ValueError(f"poisson_rate must lie in [0, {MAX_POISSON_RATE:g}], got {poisson_rate}")
 
 
 class CaseRecipe(NamedTuple):
@@ -363,24 +360,20 @@ def generate_case(dag: WeightedDag, rng_seed,
     The root set excludes the SLI; alphas draw an exponential magnitude
     with random sign and the whole vector is scaled up just enough that
     the expected SLI deviation reaches three reference standard
-    deviations.  Rows before the fault are the unfaulted simulation.
+    deviations.  Rows before the fault are the unfaulted simulation.  The
+    recipe is checked first, by generate_dataset's rule.
     """
+    _check_recipe(t_ref, t_delay, t_test, poisson_rate)
     rng = np.random.default_rng(rng_seed)
-    length = t_ref + t_delay + 1
-    X = simulate_matrix(dag, length, rng)
-    at_index = t_ref  # detection coincides with fault start
-    sigma_hat = _reference_std(X, at_index, t_ref, t_test)
+    X = simulate_matrix(dag, t_ref + t_delay + 1, rng)
+    sigma_hat = np.maximum(X[:t_ref - t_test + 1].std(axis=0), 1e-12)
     roots, alpha = _sample_fault(dag, sigma_hat, rng, poisson_rate)
     alpha_map = {int(i): float(a) for i, a in zip(roots, alpha)}
-    faulty = apply_noise_shift(dag, X, at_index, alpha_map)
+    faulty = apply_noise_shift(dag, X, t_ref, alpha_map)  # the fault starts at detection
     case = Case(metrics=dag.node_names(), values=faulty, start_time=0, detect_time=t_ref,
                 sli=metric_name(0, dag.n), t_ref=t_ref, t_delay=t_delay, t_test=t_test)
-    fault = InjectedFault(
-        root_causes=frozenset(alpha_map),
-        alpha=alpha_map,
-        start=t_ref,
-        fault_type=classify_fault(dag, sigma_hat, sorted(alpha_map)),
-    )
+    fault = InjectedFault(alpha=alpha_map, start=t_ref,
+                          fault_type=classify_fault(dag, sigma_hat, sorted(alpha_map)))
     return case, fault
 
 
@@ -443,11 +436,7 @@ def generate_dataset(
     reproducible in isolation and the same on any worker.  The windows and
     the rate are checked here, before anything is drawn or written.
     """
-    if not FAULT_DURATION - 1 <= t_delay < t_test <= t_ref:
-        raise ValueError(f"simulation needs {FAULT_DURATION - 1} <= t_delay < t_test <= t_ref, "
-                         f"got t_ref={t_ref}, t_delay={t_delay}, t_test={t_test}")
-    if not 0 <= poisson_rate <= MAX_POISSON_RATE:
-        raise ValueError(f"poisson_rate must lie in [0, {MAX_POISSON_RATE:g}], got {poisson_rate}")
+    _check_recipe(t_ref, t_delay, t_test, poisson_rate)
     root_seq = np.random.SeedSequence(rng_seed)
     graph_width = len(str(max(n_graphs - 1, 0)))
     case_width = len(str(max(cases_per_graph - 1, 0)))

@@ -269,6 +269,22 @@ def test_generate_dataset_checks_its_recipe_before_drawing(monkeypatch, recipe, 
         generate_dataset(5, 4, n_graphs=1, cases_per_graph=1, **recipe)
 
 
+@pytest.mark.parametrize("recipe", [
+    dict(t_delay=0), dict(t_ref=5, t_test=10), dict(poisson_rate=1e19), dict(poisson_rate=-1),
+])
+def test_generate_case_checks_the_dataset_recipe_before_drawing(monkeypatch, recipe):
+    def drawn(*args):
+        raise AssertionError("simulated a series")
+
+    dag = generate_dag(5, 4, rng_seed=1)
+    monkeypatch.setattr(simulation, "simulate_matrix", drawn)
+    with pytest.raises(ValueError) as from_dataset:
+        generate_dataset(5, 4, n_graphs=1, cases_per_graph=1, **recipe)
+    with pytest.raises(ValueError) as from_case:
+        generate_case(dag, 0, **recipe)
+    assert str(from_case.value) == str(from_dataset.value)
+
+
 def manifest_rebuild(params):
     """generate_dataset called with the recipe a manifest.json records."""
     kwargs = dict(params, rng_seed=params["seed"])
