@@ -33,21 +33,13 @@ MAX_NESTING = 5_000
 
 
 def _loader():
-    """The safe loader ``load_architecture`` parses with: the module's
-    ``Loader`` when one is set, else libyaml's when PyYAML is built with
-    it, else the pure-Python one (the same constructor and resolver, so
-    the same result).  yaml is imported here, so that only commands that
-    read an architecture pay for it."""
+    """The safe loader ``load_architecture`` parses with: libyaml's when
+    PyYAML is built with it, else the pure-Python one (the same
+    constructor and resolver, so the same result).  yaml is imported here,
+    so that only commands that read an architecture pay for it."""
     import yaml
 
-    return globals().get("Loader") or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-def __getattr__(name: str):
-    # ``archgraph.Loader`` reads as the loader in use until it is set.
-    if name == "Loader":
-        return _loader()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class MetaMetricDim(str, Enum):

@@ -35,7 +35,7 @@ LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else 
 
 @pytest.fixture(params=LOADERS, ids=lambda loader: loader.__name__)
 def loader(request, monkeypatch):
-    monkeypatch.setattr(archgraph, "Loader", request.param)
+    monkeypatch.setattr(archgraph, "_loader", lambda: request.param)
     return request.param
 
 
@@ -43,7 +43,7 @@ def load_with(loader, path):
     """load_architecture's spec, or its MalformedInput message, with the
     module's loader set to ``loader``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(archgraph, "Loader", loader)
+        mp.setattr(archgraph, "_loader", lambda: loader)
         try:
             return load_architecture(path)
         except MalformedInput as exc:
@@ -277,7 +277,7 @@ def test_load_architecture_rejects_malformed_yaml(tmp_path, text):
     path.write_text(text)
     for loader in LOADERS:
         with pytest.MonkeyPatch.context() as mp, pytest.raises(MalformedInput):
-            mp.setattr(archgraph, "Loader", loader)
+            mp.setattr(archgraph, "_loader", lambda: loader)
             load_architecture(path)
 
 
@@ -424,7 +424,7 @@ def test_deeply_nested_architecture_is_an_error_line(tmp_path, depth):
 @pytest.mark.parametrize("depth", [600, 30_000])
 def test_deeply_nested_architecture_is_malformed_pure_python(tmp_path, monkeypatch, depth):
     # In process: the pure-Python composer raises RecursionError, never crashes.
-    monkeypatch.setattr(archgraph, "Loader", yaml.SafeLoader)
+    monkeypatch.setattr(archgraph, "_loader", lambda: yaml.SafeLoader)
     path = tmp_path / "arch.yaml"
     path.write_text(f"services: {nested(depth)}\n")
     with pytest.raises(MalformedInput, match="arch.yaml"):
@@ -452,7 +452,7 @@ def test_architecture_loads_through_libyaml(tmp_path, monkeypatch):
     # Performance guard: the pure-Python loader takes about 8x as long on a
     # 30-service architecture, and gives the same result, so nothing but
     # this test notices a fallback to it.
-    assert archgraph.Loader is yaml.CSafeLoader
+    assert archgraph._loader() is yaml.CSafeLoader
     made = []
 
     class CountingLoader(yaml.CSafeLoader):
@@ -460,7 +460,7 @@ def test_architecture_loads_through_libyaml(tmp_path, monkeypatch):
             made.append(stream)
             super().__init__(stream)
 
-    monkeypatch.setattr(archgraph, "Loader", CountingLoader)
+    monkeypatch.setattr(archgraph, "_loader", lambda: CountingLoader)
     path = tmp_path / "arch.yaml"
     path.write_text(SIMPLE_ARCH)
     assert load_architecture(path).metric_map == {"web_qps": frozenset({mm("web", T)})}

@@ -86,8 +86,8 @@ def test_commands_load_what_they_use(tmp_path):
 def test_graph_compiles_with_each_loader(tmp_path, monkeypatch, loader):
     (tmp_path / "arch.yaml").write_text(ARCH_YAML)
     assert main(["graph", str(tmp_path / "arch.yaml"), "--out", str(tmp_path / "auto.json")]) == 0
-    monkeypatch.setattr(archgraph, "Loader", loader)
-    assert archgraph.Loader is loader
+    monkeypatch.setattr(archgraph, "_loader", lambda: loader)
+    assert archgraph._loader() is loader
     assert main(["graph", str(tmp_path / "arch.yaml"), "--out", str(tmp_path / "set.json")]) == 0
     graph = json.loads((tmp_path / "set.json").read_text())
     assert len(graph["nodes"]) == 4 and graph["edges"]
