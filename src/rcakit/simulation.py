@@ -13,6 +13,8 @@ each root propagates into the SLI.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -477,21 +479,30 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
     only; generate_dataset on the manifest's recipe redraws the weights.
     ``jobs`` > 1 writes the cases on a process pool, to the same bytes.
     A case that is a recipe is drawn by the task that writes it, so
-    ``simulate`` generates and writes in one pass.
+    ``simulate`` generates and writes in one pass.  The tree is written
+    beside ``out_dir`` and renamed onto it after the last case: a failure
+    or an interrupt leaves ``out_dir`` as it was, and nothing beside it.
     """
-    out_dir = Path(out_dir)
     require_empty_dir(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(dataset.params, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    tasks = []
-    for record in dataset.graphs:
-        graph_dir = out_dir / record.graph_id
-        graph_dir.mkdir(exist_ok=True)
-        save_graph(record.graph, graph_dir / "graph.json")
-        tasks += [(graph_dir / case_id(entry), entry) for entry in record.cases]
-    _pool_map(_save_record, tasks, jobs)
+    out_dir = Path(out_dir).resolve()
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    holder = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        tree = holder / out_dir.name
+        tree.mkdir()  # the mode mkdir gives, where mkdtemp's is private
+        with open(tree / "manifest.json", "w") as fh:
+            json.dump(dataset.params, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        tasks = []
+        for record in dataset.graphs:
+            graph_dir = tree / record.graph_id
+            graph_dir.mkdir()
+            save_graph(record.graph, graph_dir / "graph.json")
+            tasks += [(graph_dir / case_id(entry), entry) for entry in record.cases]
+        _pool_map(_save_record, tasks, jobs)
+        tree.rename(out_dir)  # replaces an empty out_dir
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
 
 
 def load_dataset(directory) -> SimulatedDataset:

@@ -20,6 +20,7 @@ import os
 
 import pytest
 
+from rcakit import simulation
 from rcakit.cli import main
 from rcakit.scoring import SCORER_NAMES
 
@@ -173,3 +174,29 @@ def test_report_is_frozen(outputs):
 
 def test_graph_is_frozen(outputs):
     assert outputs["graph"] == GRAPH
+
+
+@pytest.mark.parametrize("failure", [MemoryError, KeyboardInterrupt])
+def test_simulate_that_fails_leaves_nothing(tmp_path, monkeypatch, failure):
+    # The third case fails to write: --out stays unmade, no partial tree is
+    # left beside it, and a rerun writes the frozen tree.
+    monkeypatch.chdir(tmp_path)
+    save_case, written = simulation.save_case, []
+
+    def third_fails(*args, **kwargs):
+        written.append(args[0])
+        if len(written) == 3:
+            raise failure()
+        return save_case(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "save_case", third_fails)
+    if failure is MemoryError:
+        assert main(SIMULATE) == 1
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(SIMULATE)
+    assert len(written) == 3
+    assert os.listdir(".") == []
+    monkeypatch.setattr(simulation, "save_case", save_case)
+    run(SIMULATE)
+    assert not moved(TREE, tree_digests("ds")), moved(TREE, tree_digests("ds"))
