@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from rcakit.errors import DimensionMismatch, InsufficientData
-from rcakit.model import CausalGraph
+from rcakit.model import CausalGraph, window_index_ranges
 from rcakit.regression import COEF_LIMIT, centre, fit_stacks, sigma_floor
 from rcakit.scoring import rht_score
+from rcakit.simulation import case_record, generate_dataset
 
 from conftest import make_case
 
@@ -260,3 +262,35 @@ def test_one_solve_per_feature_count(monkeypatch, lagged):
     counts = sorted(shape[1] for shape, out in calls if out is not None)
     assert len(calls) == len(counts)  # nothing raised
     assert counts == ([1, 2, 3, 4] if lagged else [1, 2, 3])
+
+
+def test_lagged_fit_sigma_matches_the_true_noise_at_d50():
+    # The simulator's node i is x_i = A_i x + beta x_i,prev + sigma_i e, so
+    # a lagged fit on its parents is the true model: n (s / sigma_i)^2 is
+    # chi-square with n - p - 1 degrees of freedom (p features, one mean),
+    # s being the fit's population std over n reference rows.  Every fit
+    # must lie inside the two-sided band at a family-wise level of 0.01.
+    dataset = generate_dataset(50, 100, n_graphs=4, cases_per_graph=10, rng_seed=11)
+    stat, dof, sigma = [], [], []
+    for record in dataset.graphs:
+        graph, dag = record.graph, record.dag
+        true_sigma = dict(zip(dag.node_names(), dag.sigma))
+        features = np.diff(graph.parent_ptr) + 1  # the parents and the lag
+        for entry in record.cases:
+            case = case_record(entry).case
+            col = {m: j for j, m in enumerate(case.metrics)}
+            columns = np.array([col[m] for m in graph.names])
+            ref, test = window_index_ranges(case)
+            full, lag = case.values, case.values.shape[1]
+            data = centre(np.hstack([full[ref.start + 1:ref.stop], full[ref.start:ref.stop - 1]]),
+                          np.hstack([full[test.start:test.stop],
+                                     full[test.start - 1:test.stop - 1]]))
+            fit = fit_stacks(data, columns, graph.fit_plan(columns, lag))
+            stat.append(data.n_ref * fit.residual_std ** 2)
+            dof.append(data.n_ref - features - 1)
+            sigma.append([true_sigma[m] for m in graph.names])
+    stat = np.concatenate(stat) / np.concatenate(sigma) ** 2
+    dof = np.concatenate(dof)
+    assert stat.size == 4 * 10 * 50
+    tail = np.minimum(stats.chi2.cdf(stat, dof), stats.chi2.sf(stat, dof))
+    assert tail.min() > 0.01 / (2 * stat.size), tail.min()
