@@ -217,7 +217,7 @@ def _propagate(dag: WeightedDag, E: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InjectedFault:
-    """Ground truth of one injected fault; its root causes key ``alpha``."""
+    """Ground truth of one injected fault; ``alpha`` maps each root cause to its shift."""
 
     alpha: dict[int, float]
     start: int
@@ -496,7 +496,7 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
         tasks = []
         for record in dataset.graphs:
             graph_dir = tree / record.graph_id
-            graph_dir.mkdir()
+            graph_dir.mkdir(exist_ok=True)
             save_graph(record.graph, graph_dir / "graph.json")
             tasks += [(graph_dir / case_id(entry), entry) for entry in record.cases]
         _pool_map(_save_record, tasks, jobs)
