@@ -7,7 +7,7 @@ conditioned on causal parents, and the latter with descendant adjustment.
 """
 
 from rcakit import GroundTruth, run_scorer
-from rcakit.simulation import generate_case, generate_dag, metric_name
+from rcakit.simulation import generate_case, generate_dag
 
 rng_seed = 42
 dag = generate_dag(n_node=30, n_edge=60, rng_seed=rng_seed)
@@ -16,10 +16,10 @@ graph = dag.to_causal_graph()
 # Two hours of per-minute history plus five minutes after detection; the
 # fault starts at detection time, minute 120.
 case, fault = generate_case(dag, rng_seed=rng_seed + 1)
-truth = GroundTruth(frozenset(metric_name(i, dag.n) for i in fault.root_causes))
-print(f"injected a {fault.fault_type.value} fault at minute {fault.start}")
+truth = GroundTruth(fault.root_causes)
+print(f"injected a {fault.fault_type.value} fault at minute {case.detect_time}")
 print(f"true root causes: {sorted(truth.root_causes)}")
-print(f"noise shifts:     { {metric_name(i, dag.n): round(a, 2) for i, a in sorted(fault.alpha.items())} }")
+print(f"noise shifts:     { {m: round(a, 2) for m, a in fault.alpha.items()} }")
 
 for scorer in ("nsigma", "rht", "circa"):
     table, ranking = run_scorer(scorer, case, graph)

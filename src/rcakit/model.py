@@ -33,41 +33,13 @@ DEFAULT_T_TEST = 10
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """One metric's values sampled at a fixed interval.
-
-    Values must be finite; series with missing or non-finite points are
-    rejected rather than imputed.
-    """
+    """One metric's values sampled at a fixed interval: a record that
+    ``Case(series=...)`` checks and stacks."""
 
     metric: MetricId
     start_time: int
     values: np.ndarray
     interval: int = 1
-
-    def __post_init__(self):
-        if not self.metric:
-            raise ValueError("metric id must be a non-empty string")
-        if self.interval < 1:
-            raise ValueError("interval must be a positive number of minutes")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError(f"series {self.metric!r} must be a non-empty 1-d sequence")
-        if not np.isfinite(values).all():
-            raise ValueError(f"series {self.metric!r} contains non-finite values")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __eq__(self, other) -> bool:
-        return _fields_equal(self, other) if isinstance(other, TimeSeries) else NotImplemented
-
-
-def _fields_equal(a, b) -> bool:
-    """Field-by-field equality of two records; arrays compare by value."""
-    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-               for x, y in zip(vars(a).values(), vars(b).values()))
 
 
 def restore_read_only(obj, state: dict) -> None:
@@ -115,11 +87,13 @@ class Case:
                 raise ValueError("give either series or metrics, values and start_time")
             if any(name != ts.metric for name, ts in series.items()):
                 raise ValueError("series keys must match their metric ids")
-            clocks = {(ts.start_time, ts.interval, len(ts)) for ts in series.values()}
+            clocks = {(ts.start_time, ts.interval, np.shape(ts.values)) for ts in series.values()}
             if len(clocks) != 1:
                 raise ValueError("a case needs series sharing start_time, interval and length")
             metrics = sorted(series)
-            (start_time, interval, _), = clocks
+            (start_time, interval, shape), = clocks
+            if len(shape) != 1:
+                raise ValueError(f"series must be 1-d sequences, got shape {shape}")
             vars(self).update(metrics=metrics, start_time=start_time, interval=interval,
                               values=np.column_stack([series[m].values for m in metrics]))
         if self.values is None or self.start_time is None:
@@ -163,7 +137,10 @@ class Case:
         return self.values.shape[0]
 
     def __eq__(self, other) -> bool:
-        return _fields_equal(self, other) if isinstance(other, Case) else NotImplemented
+        if not isinstance(other, Case):
+            return NotImplemented
+        return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+                   for x, y in zip(vars(self).values(), vars(other).values()))
 
 
 @dataclass(frozen=True)

@@ -217,15 +217,14 @@ def _propagate(dag: WeightedDag, E: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InjectedFault:
-    """Ground truth of one injected fault; ``alpha`` maps each root cause to its shift."""
+    """Ground truth of one injected fault; ``alpha`` maps each root-cause
+    metric to its noise shift, in sigmas of that metric's noise."""
 
-    alpha: dict[int, float]
-    start: int
+    alpha: dict[MetricId, float]
     fault_type: FaultType
-    duration: int = FAULT_DURATION
 
     @property
-    def root_causes(self) -> frozenset[int]:
+    def root_causes(self) -> frozenset[MetricId]:
         return frozenset(self.alpha)
 
 
@@ -370,12 +369,12 @@ def generate_case(dag: WeightedDag, rng_seed,
     X = simulate_matrix(dag, t_ref + t_delay + 1, rng)
     sigma_hat = np.maximum(X[:t_ref - t_test + 1].std(axis=0), 1e-12)
     roots, alpha = _sample_fault(dag, sigma_hat, rng, poisson_rate)
-    alpha_map = {int(i): float(a) for i, a in zip(roots, alpha)}
-    faulty = apply_noise_shift(dag, X, t_ref, alpha_map)  # the fault starts at detection
-    case = Case(metrics=dag.node_names(), values=faulty, start_time=0, detect_time=t_ref,
-                sli=metric_name(0, dag.n), t_ref=t_ref, t_delay=t_delay, t_test=t_test)
-    fault = InjectedFault(alpha=alpha_map, start=t_ref,
-                          fault_type=classify_fault(dag, sigma_hat, sorted(alpha_map)))
+    faulty = apply_noise_shift(dag, X, t_ref, dict(zip(roots, alpha)))  # starts at detection
+    names = dag.node_names()
+    case = Case(metrics=names, values=faulty, start_time=0, detect_time=t_ref, sli=names[0],
+                t_ref=t_ref, t_delay=t_delay, t_test=t_test)
+    fault = InjectedFault(alpha={names[i]: float(a) for i, a in zip(roots, alpha)},
+                          fault_type=classify_fault(dag, sigma_hat, roots))
     return case, fault
 
 
@@ -405,8 +404,8 @@ def case_record(entry: CaseEntry) -> CaseRecord:
             entry.dag, np.random.default_rng(entry.stream), t_ref=entry.t_ref,
             t_delay=entry.t_delay, t_test=entry.t_test, poisson_rate=entry.poisson_rate,
         )
-        truth = GroundTruth(frozenset(metric_name(i, entry.dag.n) for i in fault.root_causes))
-        return CaseRecord(entry.case_id, case, truth, fault.fault_type.value)
+        return CaseRecord(entry.case_id, case, GroundTruth(fault.root_causes),
+                          fault.fault_type.value)
     record = load_case(entry)
     if record.truth is None:
         raise MalformedInput(f"{entry}/case.json: dataset cases must carry root_causes")

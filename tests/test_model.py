@@ -147,10 +147,29 @@ def test_case_pickle_keeps_matrix_read_only():
 
 
 def test_non_finite_values_rejected():
+    windows = dict(detect_time=1, sli="a", t_ref=1, t_delay=0, t_test=1)
     with pytest.raises(ValueError):
-        TimeSeries(metric="a", start_time=0, values=np.array([1.0, np.nan]))
+        Case(series={"a": TimeSeries(metric="a", start_time=0, values=np.array([1.0, np.nan]))},
+             **windows)
     with pytest.raises(ValueError):
-        TimeSeries(metric="a", start_time=0, values=np.array([1.0, np.inf]))
+        Case(series={"a": TimeSeries(metric="a", start_time=0, values=np.array([1.0, np.inf]))},
+             **windows)
+
+
+@pytest.mark.parametrize("series", [
+    TimeSeries("", 0, np.zeros(3)),
+    TimeSeries("a", 0, np.zeros(3), interval=0),
+    TimeSeries("a", 0, np.zeros((3, 1))),
+    TimeSeries("a", 0, 1.0),
+    TimeSeries("a", 0, np.zeros(0)),
+    TimeSeries("a", 0, np.array([1.0, np.nan, 2.0])),
+    TimeSeries("a", 0, np.array([1.0, np.inf, 2.0])),
+], ids=["empty-id", "interval-0", "2-d", "scalar", "empty", "nan", "inf"])
+def test_case_checks_the_series_it_stacks(series):
+    # A series is a plain record: the case that stacks it applies every rule.
+    with pytest.raises(ValueError):
+        Case(series={series.metric: series}, detect_time=1, sli=series.metric,
+             t_ref=1, t_delay=0, t_test=1)
 
 
 def test_case_roundtrip(tmp_path):
