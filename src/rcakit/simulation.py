@@ -478,14 +478,17 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
     only; generate_dataset on the manifest's recipe redraws the weights.
     ``jobs`` > 1 writes the cases on a process pool, to the same bytes.
     A case that is a recipe is drawn by the task that writes it, so
-    ``simulate`` generates and writes in one pass.  The tree is written
-    beside ``out_dir`` and renamed onto it after the last case: a failure
-    or an interrupt leaves ``out_dir`` as it was, and nothing beside it.
+    ``simulate`` generates and writes in one pass.  After the last case the
+    tree staged beside an absent ``out_dir`` is renamed onto it, and one
+    staged in an existing ``out_dir`` (a working directory stays itself)
+    moves up.  A failure or an interrupt leaves ``out_dir`` as it was.
     """
     require_empty_dir(out_dir)
     out_dir = Path(out_dir).resolve()
     out_dir.parent.mkdir(parents=True, exist_ok=True)
-    holder = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    inside, moved = out_dir.is_dir(), []
+    holder = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.",
+                                   dir=out_dir if inside else out_dir.parent))
     try:
         tree = holder / out_dir.name
         tree.mkdir()  # the mode mkdir gives, where mkdtemp's is private
@@ -499,7 +502,15 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
             save_graph(record.graph, graph_dir / "graph.json")
             tasks += [(graph_dir / case_id(entry), entry) for entry in record.cases]
         _pool_map(_save_record, tasks, jobs)
-        tree.rename(out_dir)  # replaces an empty out_dir
+        if not inside:
+            tree.rename(out_dir)
+        for entry in sorted(tree.iterdir()) if inside else ():
+            moved.append(out_dir / entry.name)
+            entry.rename(moved[-1])
+    except BaseException:
+        for path in filter(Path.exists, moved):  # back into the tree, removed below
+            path.rename(tree / path.name)
+        raise
     finally:
         shutil.rmtree(holder, ignore_errors=True)
 

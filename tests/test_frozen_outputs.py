@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +201,65 @@ def test_simulate_that_fails_leaves_nothing(tmp_path, monkeypatch, failure):
     monkeypatch.setattr(simulation, "save_case", save_case)
     run(SIMULATE)
     assert moved(TREE, tree_digests("ds")) == []
+
+
+def test_simulate_into_the_working_directory(tmp_path, monkeypatch):
+    # An existing --out stays the same directory: written as ".", the tree
+    # shows in a listing of "." and has the bytes of a run into a new one.
+    small = ["simulate", "--nodes", "5", "--edges", "6", "--graphs", "1", "--cases", "2",
+             "--seed", "1", "--jobs", "1", "--out"]
+    monkeypatch.chdir(tmp_path)
+    run(small + ["fresh"])
+    (tmp_path / "here").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    run(small + ["."])
+    assert sorted(os.listdir(".")) == ["g0", "manifest.json"]
+    assert tree_digests(".") == tree_digests(str(tmp_path / "fresh"))
+
+
+@pytest.mark.parametrize("failure", [MemoryError, KeyboardInterrupt])
+def test_simulate_that_fails_leaves_an_existing_out_empty(tmp_path, monkeypatch, failure):
+    # The third case fails to write into an existing empty --out: it stays,
+    # empty, with nothing beside it, and a rerun writes the frozen tree.
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("ds")
+    save_case, written = simulation.save_case, []
+
+    def third_fails(*args, **kwargs):
+        written.append(args[0])
+        if len(written) == 3:
+            raise failure()
+        return save_case(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "save_case", third_fails)
+    if failure is MemoryError:
+        assert main(SIMULATE) == 1
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(SIMULATE)
+    assert len(written) == 3
+    assert os.listdir(".") == ["ds"] and os.listdir("ds") == []
+    monkeypatch.setattr(simulation, "save_case", save_case)
+    run(SIMULATE)
+    assert moved(TREE, tree_digests("ds")) == []
+
+
+def test_simulate_interrupted_while_moving_up_leaves_out_empty(tmp_path, monkeypatch):
+    # An interrupt after the first entry moved up into an existing --out
+    # takes that entry back out with the staged tree.
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("ds")
+    rename, moves = Path.rename, []
+
+    def second_move_fails(self, target):
+        if Path(target).parent == tmp_path / "ds":
+            moves.append(target)
+            if len(moves) == 2:
+                raise KeyboardInterrupt
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", second_move_fails)
+    with pytest.raises(KeyboardInterrupt):
+        main(SIMULATE)
+    assert len(moves) == 2
+    assert os.listdir(".") == ["ds"] and os.listdir("ds") == []
