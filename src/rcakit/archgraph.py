@@ -255,10 +255,12 @@ def _check_nesting(text: str, path, loader) -> None:
 
 
 def _name(value, where: str) -> str:
-    """A scalar as a name; a list or mapping is rejected rather than
-    spelled out (``name: [a]`` is not the name ``['a']``)."""
+    """A scalar as a non-empty name; a list or mapping is rejected rather
+    than spelled out (``name: [a]`` is not the name ``['a']``)."""
     if isinstance(value, (list, dict)):
         raise MalformedInput(f"{where} must be a name, got {type(value).__name__}")
+    if value == "":
+        raise MalformedInput(f"{where} must be non-empty")
     return str(value)
 
 
@@ -282,15 +284,17 @@ def load_architecture(path) -> ArchitectureSpec:
         raise MalformedInput(f"{path}: nested too deeply to parse") from None
     if not isinstance(payload, dict):
         raise MalformedInput(f"{path}: expected a mapping with 'services' and 'metrics'")
-    services = []
+    services: dict[str, ServiceNode] = {}
     for i, entry in enumerate(_as_list(payload.get("services"), f"{path}: services")):
         if not isinstance(entry, dict) or "name" not in entry:
             raise MalformedInput(f"{path}: services[{i}] needs a 'name'")
         callees = _as_list(entry.get("callees"), f"{path}: services[{i}].callees")
         if not all(isinstance(c, (str, int)) for c in callees):
             raise MalformedInput(f"{path}: services[{i}].callees must name services")
-        services.append(ServiceNode(service=_name(entry["name"], f"{path}: services[{i}].name"),
-                                    callees=tuple(str(c) for c in callees)))
+        name = _name(entry["name"], f"{path}: services[{i}].name")
+        if name in services:
+            raise MalformedInput(f"{path}: service {name!r} declared twice")
+        services[name] = ServiceNode(service=name, callees=tuple(str(c) for c in callees))
     metric_map: dict[MetricId, frozenset[MetaMetric]] = {}
     for i, entry in enumerate(_as_list(payload.get("metrics"), f"{path}: metrics")):
         if not isinstance(entry, dict) or "name" not in entry or not entry.get("maps_to"):
@@ -309,4 +313,4 @@ def load_architecture(path) -> ArchitectureSpec:
                     f"{where} needs service and dim in {{traffic, saturation, latency, errors}}"
                 ) from None
         metric_map[name] = frozenset(metas)
-    return ArchitectureSpec(services=tuple(services), metric_map=metric_map)
+    return ArchitectureSpec(services=tuple(services.values()), metric_map=metric_map)

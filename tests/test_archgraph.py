@@ -536,3 +536,22 @@ def test_call_graph_and_compiler_match_networkx(services, data):
     assert set(compiled.nodes) == set(metric_map)
     assert nx.is_directed_acyclic_graph(compiled)
     assert graph.topological_order() == lexicographic_networkx_order(graph)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("services: [{name: ''}]\n", "services[0].name must be non-empty"),
+    ("services: [{name: web}]\nmetrics: [{name: '', maps_to: [{service: web, dim: traffic}]}]\n",
+     "metrics[0].name must be non-empty"),
+    ("services: [{name: web}, {name: db}, {name: web}]\n", "service 'web' declared twice"),
+], ids=["empty-service", "empty-metric", "service-twice"])
+def test_bad_names_are_malformed_and_name_the_file(tmp_path, capsys, loader, text, where):
+    from rcakit.cli import main
+
+    path = tmp_path / "arch.yaml"
+    path.write_text(text)
+    with pytest.raises(MalformedInput, match=re.escape(f"{path}: {where}")):
+        load_architecture(path)
+    assert main(["graph", str(path), "--out", str(tmp_path / "graph.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {path}: {where}"]
+    assert not (tmp_path / "graph.json").exists()
