@@ -48,7 +48,7 @@ class MethodResult:
     ac_std: tuple[float, ...]           # std across graphs
     avg_at_k: float
     mean_time_s: float
-    per_graph: dict[str, tuple[float, ...]]
+    per_graph: dict[str, Optional[tuple[float, ...]]]  # None: every case failed
     by_fault_type: dict[str, dict]
     n_cases: int
     failures: tuple[tuple[str, str, str], ...] = ()
@@ -138,11 +138,9 @@ def evaluate(
                 per_type.setdefault(fault_type, []).append(recalls)
             times.append(elapsed)
 
-        graph_ac = {
-            gid: tuple(np.mean(rows, axis=0)) if rows else tuple([float("nan")] * k_max)
-            for gid, rows in per_graph_recalls.items()
-        }
-        stacked = np.array([v for v in graph_ac.values() if not np.isnan(v).any()])
+        graph_ac = {gid: tuple(map(float, np.mean(rows, axis=0))) if rows else None
+                    for gid, rows in per_graph_recalls.items()}
+        stacked = np.array([v for v in graph_ac.values() if v is not None])
         if stacked.size == 0:
             raise EmptyCaseSet(f"method {method!r} produced no successful cases")
         ac_mean = stacked.mean(axis=0)
@@ -152,7 +150,7 @@ def evaluate(
             ac_std=tuple(float(v) for v in ac_std),
             avg_at_k=float(ac_mean.mean()),
             mean_time_s=float(np.mean(times)) if times else float("nan"),
-            per_graph={g: tuple(float(x) for x in v) for g, v in graph_ac.items()},
+            per_graph=graph_ac,
             by_fault_type={
                 ft: {
                     "n": len(rows),

@@ -317,3 +317,28 @@ def test_failing_detector_is_tried_once(tiny_dataset, monkeypatch):
     rht_calls.clear()
     evaluate(dataset, ["rht", "circa", "rht-pg"], k_max=5)
     assert len(rht_calls) == 2 * dataset.n_cases()
+
+
+def test_graph_whose_cases_all_fail_reports_null(tmp_path):
+    # g1's graph names a node its cases lack, so rht fails on all three of
+    # them: that graph's per_graph entry is null, which JSON can hold, and
+    # AC@k is g0's alone.
+    from rcakit.cli import main
+
+    data = tmp_path / "ds"
+    assert main(["simulate", "--nodes", "5", "--edges", "6", "--graphs", "2", "--cases", "3",
+                 "--seed", "1", "--out", str(data), "--jobs", "1"]) == 0
+    graph = json.loads((data / "g1" / "graph.json").read_text())
+    graph["nodes"].append("zz")
+    (data / "g1" / "graph.json").write_text(json.dumps(graph))
+    assert main(["evaluate", str(data), "--scorers", "rht", "--jobs", "1"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}")
+
+    report = json.loads((data / "report.json").read_text(), parse_constant=refuse)
+    rht = report["methods"]["rht"]
+    assert [failure[:2] for failure in rht["failures"]] == [["g1", f"c{c}"] for c in range(3)]
+    assert rht["per_graph"]["g1"] is None
+    assert rht["ac_mean"] == rht["per_graph"]["g0"]
+    assert rht["ac_std"] == [0.0] * 5
