@@ -8,10 +8,18 @@ process rather than under ``testpaths``.
 
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import yaml
+
+from rcakit.archgraph import build_structural_graph, load_architecture
+from rcakit.model import GroundTruth, load_case, save_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +48,29 @@ def test_every_traced_function_exists():
     absent = {(module, attr) for module, attr in targets
               if not callable(getattr(importlib.import_module(module), attr, None))}
     assert absent <= STALE_TARGETS, sorted(absent - STALE_TARGETS)
+
+
+
+def test_archgen_writes_cases_that_load(tmp_path, monkeypatch):
+    # write_cases builds each triage case through TimeSeries and
+    # Case(series=...); only a refused bench run would show a break there,
+    # so this runs it on one architecture.  bench/ is read, never written.
+    spec = importlib.util.spec_from_file_location("archgen", ROOT / "bench" / "archgen.py")
+    archgen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "archgen", archgen)  # dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(archgen)
+    arch = tmp_path / "arch.yaml"
+    arch.write_text(yaml.safe_dump(archgen.architecture(1, 0), sort_keys=False))
+    save_graph(build_structural_graph(load_architecture(arch)), tmp_path / "graph.json")
+    graph = json.loads((tmp_path / "graph.json").read_text())
+    model = archgen.case_model(graph, 1, 0)
+    cases = archgen.incident_cases(model, graph, 1, 0)
+    archgen.write_cases(cases, model, tmp_path / "cases")
+    assert len(cases) == archgen.N_CASES
+    for case in cases:
+        record = load_case(tmp_path / "cases" / case.case_id)
+        assert record.truth == GroundTruth(frozenset({case.root}))
+        column = {m: j for j, m in enumerate(record.case.metrics)}
+        order = [column[m] for m in model.order]
+        assert np.array_equal(record.case.values[:, order], case.values)

@@ -294,3 +294,43 @@ def test_lagged_fit_sigma_matches_the_true_noise_at_d50():
     assert stat.size == 4 * 10 * 50
     tail = np.minimum(stats.chi2.cdf(stat, dof), stats.chi2.sf(stat, dof))
     assert tail.min() > 0.01 / (2 * stat.size), tail.min()
+
+
+def test_lagged_fit_coefficients_match_the_true_mechanism_at_d50():
+    # A lagged fit on the parents is the simulator's own model, so each
+    # coefficient minus its true value (dag.A[i, parent], or dag.beta for
+    # the lag) over its standard error is t-distributed with n - p - 1
+    # degrees of freedom.  The error comes from the centred reference
+    # design, with s^2 = n std^2 / (n - p - 1).  Every t must lie inside the
+    # two-sided band at a family-wise level of 0.01.
+    dataset = generate_dataset(50, 100, n_graphs=4, cases_per_graph=10, rng_seed=11, t_ref=2000)
+    t_stats, dofs = [], []
+    for record in dataset.graphs:
+        graph, dag = record.graph, record.dag
+        assert graph.names == tuple(dag.node_names())  # graph ids are dag indices
+        for entry in record.cases:
+            case = case_record(entry).case
+            col = {m: j for j, m in enumerate(case.metrics)}
+            columns = np.array([col[m] for m in graph.names])
+            ref, test = window_index_ranges(case)
+            full, lag = case.values, case.values.shape[1]
+            data = centre(np.hstack([full[ref.start + 1:ref.stop], full[ref.start:ref.stop - 1]]),
+                          np.hstack([full[test.start:test.stop],
+                                     full[test.start - 1:test.stop - 1]]))
+            plan = graph.fit_plan(columns, lag)
+            fit = fit_stacks(data, columns, plan)
+            n = data.n_ref
+            for (members, blocks), coefs in zip(plan, fit.coefficients):
+                for i, block, coef in zip(members, blocks, coefs):
+                    parents = graph.parent_ids[graph.parent_ptr[i]:graph.parent_ptr[i + 1]]
+                    true = np.append(dag.A[i, parents], dag.beta)
+                    X = data.rows[block, :n]
+                    dof = n - len(block) - 1
+                    s2 = n * fit.residual_std[i] ** 2 / dof
+                    se = np.sqrt(s2 * np.diag(np.linalg.inv(X @ X.T)))
+                    t_stats.append((coef - true) / se)
+                    dofs.append(np.full(len(block), dof))
+    t_stats, dofs = np.concatenate(t_stats), np.concatenate(dofs)
+    assert t_stats.size == 4 * 10 * (100 + 50)
+    p = 2 * stats.t.sf(np.abs(t_stats), dofs)
+    assert p.min() > 0.01 / t_stats.size, (np.abs(t_stats).max(), p.min())
