@@ -502,11 +502,12 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
             save_graph(record.graph, graph_dir / "graph.json")
             tasks += [(graph_dir / case_id(entry), entry) for entry in record.cases]
         _pool_map(_save_record, tasks, jobs)
-        if not inside:
+        if inside:
+            for entry in sorted(tree.iterdir()):
+                moved.append(out_dir / entry.name)
+                entry.rename(moved[-1])
+        else:
             tree.rename(out_dir)
-        for entry in sorted(tree.iterdir()) if inside else ():
-            moved.append(out_dir / entry.name)
-            entry.rename(moved[-1])
     except BaseException:
         for path in filter(Path.exists, moved):  # back into the tree, removed below
             path.rename(tree / path.name)
