@@ -10,7 +10,6 @@ from rcakit import (
     ArchitectureSpec,
     MetaMetric,
     MetaMetricDim,
-    ServiceNode,
     build_skeleton,
     build_structural_graph,
 )
@@ -18,10 +17,8 @@ from rcakit import (
 T, S, L, E = (MetaMetricDim.TRAFFIC, MetaMetricDim.SATURATION,
               MetaMetricDim.LATENCY, MetaMetricDim.ERRORS)
 
-services = (
-    ServiceNode("web", callees=("db",)),
-    ServiceNode("db"),
-)
+# Each service and the services it calls.
+services = {"web": ("db",), "db": ()}
 
 # The skeleton wires dimensions: traffic drives everything downstream of it,
 # and the database's dimensions stand in for part of the web service's

@@ -40,7 +40,6 @@ from .archgraph import (
     ArchitectureSpec,
     MetaMetric,
     MetaMetricDim,
-    ServiceNode,
     build_skeleton,
     build_structural_graph,
     load_architecture,

@@ -51,19 +51,6 @@ class MetaMetricDim(str, Enum):
     ERRORS = "errors"
 
 
-@dataclass(frozen=True)
-class ServiceNode:
-    """One service and the services it calls."""
-
-    service: str
-    callees: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.service:
-            raise ValueError("service name must be non-empty")
-        object.__setattr__(self, "callees", tuple(self.callees))
-
-
 @dataclass(frozen=True, order=True)
 class MetaMetric:
     """A (service, dimension) node of the skeleton."""
@@ -79,15 +66,18 @@ class MetaMetric:
 class ArchitectureSpec:
     """Call graph plus the metric -> meta-metric mapping.
 
-    The mapping is stored in the direction operators label metrics
-    (metric to the dimensions it measures); the compiler inverts it.
+    ``services`` maps each declared service to the services it calls, in
+    declaration order.  The metric mapping is stored in the direction
+    operators label metrics (metric to the dimensions it measures); the
+    compiler inverts it.
     """
 
-    services: tuple[ServiceNode, ...]
+    services: Mapping[str, tuple[str, ...]]
     metric_map: Mapping[MetricId, frozenset[MetaMetric]]
 
     def __post_init__(self):
-        object.__setattr__(self, "services", tuple(self.services))
+        services = {name: tuple(callees) for name, callees in dict(self.services).items()}
+        object.__setattr__(self, "services", services)
         normalized = {}
         for metric, metas in dict(self.metric_map).items():
             metas = frozenset(metas)
@@ -111,22 +101,19 @@ _WITHIN_SERVICE_EDGES = (
 )
 
 
-def _call_graph(services: Sequence[ServiceNode]) -> CausalGraph:
+def _call_graph(services: Mapping[str, Sequence[str]]) -> CausalGraph:
     """The call graph, caller to callee, over the declared services and
     their callees; a callee declared nowhere is a leaf service."""
-    declared: set[str] = set()
-    for svc in services:
-        if svc.service in declared:
-            raise ValueError(f"service {svc.service!r} declared twice")
-        declared.add(svc.service)
-    calls = [(svc.service, callee) for svc in services for callee in svc.callees]
+    calls = [(svc, callee) for svc, callees in services.items() for callee in callees]
+    if not all(services) or not all(callee for _, callee in calls):
+        raise ValueError("service names must be non-empty")
     try:
-        return CausalGraph(declared.union(callee for _, callee in calls), calls)
+        return CausalGraph([*services.keys(), *(callee for _, callee in calls)], calls)
     except ValueError as exc:
         raise CyclicCallGraph(f"call {exc}") from exc
 
 
-def build_skeleton(services: Sequence[ServiceNode]) -> CausalGraph:
+def build_skeleton(services: Mapping[str, Sequence[str]]) -> CausalGraph:
     """Expand a service call graph into the meta-metric skeleton: a DAG
     over ``MetaMetric`` nodes.
 
@@ -284,7 +271,7 @@ def load_architecture(path) -> ArchitectureSpec:
         raise MalformedInput(f"{path}: nested too deeply to parse") from None
     if not isinstance(payload, dict):
         raise MalformedInput(f"{path}: expected a mapping with 'services' and 'metrics'")
-    services: dict[str, ServiceNode] = {}
+    services: dict[str, tuple[str, ...]] = {}
     for i, entry in enumerate(_as_list(payload.get("services"), f"{path}: services")):
         if not isinstance(entry, dict) or "name" not in entry:
             raise MalformedInput(f"{path}: services[{i}] needs a 'name'")
@@ -294,7 +281,7 @@ def load_architecture(path) -> ArchitectureSpec:
         name = _name(entry["name"], f"{path}: services[{i}].name")
         if name in services:
             raise MalformedInput(f"{path}: service {name!r} declared twice")
-        services[name] = ServiceNode(service=name, callees=tuple(str(c) for c in callees))
+        services[name] = tuple(str(c) for c in callees)
     metric_map: dict[MetricId, frozenset[MetaMetric]] = {}
     for i, entry in enumerate(_as_list(payload.get("metrics"), f"{path}: metrics")):
         if not isinstance(entry, dict) or "name" not in entry or not entry.get("maps_to"):
@@ -313,4 +300,4 @@ def load_architecture(path) -> ArchitectureSpec:
                     f"{where} needs service and dim in {{traffic, saturation, latency, errors}}"
                 ) from None
         metric_map[name] = frozenset(metas)
-    return ArchitectureSpec(services=tuple(services.values()), metric_map=metric_map)
+    return ArchitectureSpec(services=services, metric_map=metric_map)

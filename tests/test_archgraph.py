@@ -17,7 +17,6 @@ from rcakit.archgraph import (
     ArchitectureSpec,
     MetaMetric,
     MetaMetricDim,
-    ServiceNode,
     build_skeleton,
     build_structural_graph,
     load_architecture,
@@ -61,7 +60,7 @@ def web_db_spec():
     """One web service calling one database, all four dimensions monitored,
     plus a per-request ratio derived from both traffic dimensions."""
     return ArchitectureSpec(
-        services=(ServiceNode("web", ("db",)), ServiceNode("db")),
+        services={"web": ("db",), "db": ()},
         metric_map={
             "web_qps": {mm("web", T)},
             "web_cpu": {mm("web", S)},
@@ -95,7 +94,7 @@ WEB_DB_GOLDEN_EDGES = {
 
 
 def test_single_service_skeleton_matches_golden_signal_assumptions():
-    skeleton = build_skeleton([ServiceNode("s")])
+    skeleton = build_skeleton({"s": ()})
     assert len(skeleton.nodes) == 4
     expected = {
         (mm("s", T), mm("s", S)), (mm("s", T), mm("s", L)), (mm("s", T), mm("s", E)),
@@ -106,7 +105,7 @@ def test_single_service_skeleton_matches_golden_signal_assumptions():
 
 
 def test_web_db_skeleton_cross_service_edges():
-    skeleton = build_skeleton([ServiceNode("web", ("db",)), ServiceNode("db")])
+    skeleton = build_skeleton({"web": ("db",), "db": ()})
     assert (mm("web", T), mm("db", T)) in skeleton.edges
     assert (mm("db", L), mm("web", L)) in skeleton.edges
     assert (mm("db", E), mm("web", E)) in skeleton.edges
@@ -119,19 +118,19 @@ def test_web_db_skeleton_cross_service_edges():
 
 
 def test_empty_service_list():
-    skeleton = build_skeleton([])
+    skeleton = build_skeleton({})
     assert not skeleton.nodes and not skeleton.edges
 
 
 def test_cyclic_call_graph_rejected():
     with pytest.raises(CyclicCallGraph):
-        build_skeleton([ServiceNode("a", ("b",)), ServiceNode("b", ("a",))])
+        build_skeleton({"a": ("b",), "b": ("a",)})
     with pytest.raises(CyclicCallGraph):
-        build_skeleton([ServiceNode("a", ("a",))])
+        build_skeleton({"a": ("a",)})
 
 
 def test_implicit_leaf_callee():
-    skeleton = build_skeleton([ServiceNode("web", ("db",))])
+    skeleton = build_skeleton({"web": ("db",)})
     assert mm("db", T) in skeleton.nodes
 
 
@@ -139,7 +138,7 @@ def test_three_metric_compilation():
     # web calls db; traffic on both, latency only on web.  The empty db
     # latency/saturation/errors dimensions forward db_qps upward.
     spec = ArchitectureSpec(
-        services=(ServiceNode("web", ("db",)), ServiceNode("db")),
+        services={"web": ("db",), "db": ()},
         metric_map={
             "web_qps": {mm("web", T)},
             "web_latency": {mm("web", L)},
@@ -173,14 +172,14 @@ def test_multi_mapped_metric_attaches_at_last_dimension():
 
 
 def test_zero_metrics_compiles_to_empty_graph():
-    spec = ArchitectureSpec(services=(ServiceNode("web"),), metric_map={})
+    spec = ArchitectureSpec(services={"web": ()}, metric_map={})
     graph = build_structural_graph(spec)
     assert not graph.nodes and not graph.edges
 
 
 def test_unknown_meta_metric():
     spec = ArchitectureSpec(
-        services=(ServiceNode("web"),),
+        services={"web": ()},
         metric_map={"x": {mm("ghost", T)}},
     )
     with pytest.raises(UnknownMetaMetric):
@@ -190,7 +189,7 @@ def test_unknown_meta_metric():
 def test_compilation_deterministic_under_input_order():
     base = web_db_spec()
     reordered = ArchitectureSpec(
-        services=tuple(reversed(base.services)),
+        services=dict(reversed(list(base.services.items()))),
         metric_map=dict(reversed(list(base.metric_map.items()))),
     )
     assert build_structural_graph(base) == build_structural_graph(reordered)
@@ -200,7 +199,7 @@ def test_fully_monitored_single_service_edge_count():
     # with every dimension monitored and no multi-mapping, the edge count
     # is the sum over skeleton edges of |metrics(parent)| * |metrics(child)|
     spec = ArchitectureSpec(
-        services=(ServiceNode("s"),),
+        services={"s": ()},
         metric_map={
             "t1": {mm("s", T)}, "t2": {mm("s", T)},
             "s1": {mm("s", S)},
@@ -217,8 +216,7 @@ def test_errors_dimension_accumulates_parent_error_metrics():
     # api calls backend; both have error metrics; api's errors dimension
     # carries backend's error metric along to api's own consumers
     spec = ArchitectureSpec(
-        services=(ServiceNode("api", ("backend",)), ServiceNode("backend"),
-                  ServiceNode("edge", ("api",))),
+        services={"api": ("backend",), "backend": (), "edge": ("api",)},
         metric_map={
             "api_errors": {mm("api", E)},
             "backend_errors": {mm("backend", E)},
@@ -318,8 +316,7 @@ def architectures(draw):
     metrics = [{"name": name, "maps_to": draw(st.lists(targets, min_size=1, max_size=3))}
                for name in draw(st.lists(ARCH_NAMES, unique_by=str, max_size=6))]
     spec = ArchitectureSpec(
-        services=tuple(ServiceNode(str(s["name"]), tuple(str(c) for c in s["callees"]))
-                       for s in services),
+        services={str(s["name"]): tuple(str(c) for c in s["callees"]) for s in services},
         metric_map={str(m["name"]): frozenset(mm(str(t["service"]), MetaMetricDim(t["dim"].lower()))
                                               for t in m["maps_to"])
                     for m in metrics},
@@ -331,7 +328,7 @@ def architectures(draw):
 @given(drawn=architectures(), flow=st.booleans(), allow_unicode=st.booleans())
 @example(drawn=({"services": [{"name": "0", "callees": []}],
                  "metrics": [{"name": "\x85", "maps_to": [{"service": "0", "dim": "traffic"}]}]},
-                ArchitectureSpec(services=(ServiceNode("0"),),
+                ArchitectureSpec(services={"0": ()},
                                  metric_map={"\x85": frozenset({mm("0", T)})})),
          flow=False, allow_unicode=True)
 def test_loaders_agree_on_dumped_architectures(drawn, flow, allow_unicode):
@@ -396,7 +393,7 @@ def test_nesting_scan_accepts_long_shallow_file(tmp_path, loader):
     path.write_text(f"services:\n{services}metrics: []\n")
     assert archgraph._nesting_bound(path.read_text()) > archgraph.MAX_NESTING
     spec = load_architecture(path)
-    assert [s.service for s in spec.services] == [f"s{i}" for i in range(3000)]
+    assert list(spec.services) == [f"s{i}" for i in range(3000)]
 
 
 def nested(depth):
@@ -469,19 +466,18 @@ def test_architecture_loads_through_libyaml(tmp_path, monkeypatch):
 
 def test_skeleton_topological_order_matches_networkx():
     architectures = [
-        [ServiceNode("s")],
-        [ServiceNode("web", ("db",)), ServiceNode("db")],
-        [ServiceNode("gw", ("auth", "cart")), ServiceNode("cart", ("cache", "db")),
-         ServiceNode("auth", ("db",))],
+        {"s": ()},
+        {"web": ("db",), "db": ()},
+        {"gw": ("auth", "cart"), "cart": ("cache", "db"), "auth": ("db",)},
     ]
     rng = np.random.default_rng(8)
     for _ in range(10):
         k = int(rng.integers(2, 12))
         names = [f"svc{int(i)}" for i in rng.permutation(100)[:k]]
-        architectures.append([
-            ServiceNode(names[i], tuple(names[j] for j in range(i + 1, k) if rng.random() < 0.3))
+        architectures.append({
+            names[i]: tuple(names[j] for j in range(i + 1, k) if rng.random() < 0.3)
             for i in range(k)
-        ])
+        })
     for services in architectures:
         skeleton = build_skeleton(services)
         assert skeleton.topological_order() == lexicographic_networkx_order(skeleton)
@@ -498,12 +494,12 @@ def service_lists(draw):
     services; a third may also call the caller itself."""
     mode = draw(st.sampled_from(["later", "other", "any"]))
     declared = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=6))
-    services = []
+    services = {}
     for name in declared:
         pool = {"later": NAMES[NAMES.index(name) + 1:], "any": declared,
                 "other": [other for other in declared if other != name]}[mode]
         callees = draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
-        services.append(ServiceNode(name, tuple(callees)))
+        services[name] = tuple(callees)
     return services
 
 
@@ -511,8 +507,8 @@ def service_lists(draw):
 @given(services=service_lists(), data=st.data())
 def test_call_graph_and_compiler_match_networkx(services, data):
     calls = nx.DiGraph()
-    calls.add_nodes_from(svc.service for svc in services)
-    calls.add_edges_from((svc.service, callee) for svc in services for callee in svc.callees)
+    calls.add_nodes_from(services)
+    calls.add_edges_from((svc, callee) for svc, callees in services.items() for callee in callees)
     if not nx.is_directed_acyclic_graph(calls):
         with pytest.raises(CyclicCallGraph) as err:
             build_skeleton(services)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcakit.archgraph import ServiceNode, build_skeleton
+from rcakit.archgraph import build_skeleton
 from rcakit.errors import CyclicCallGraph
 from rcakit.model import CausalGraph
 
@@ -95,7 +95,7 @@ def test_cycle_messages(nodes, edges, cycle):
 
 
 def test_call_graph_cycle_message():
-    services = [ServiceNode("a", ("b",)), ServiceNode("b", ("c",)), ServiceNode("c", ("a",))]
+    services = {"a": ("b",), "b": ("c",), "c": ("a",)}
     with pytest.raises(CyclicCallGraph) as info:
         build_skeleton(services)
     assert str(info.value) == "call graph contains a cycle: 'a' -> 'b' -> 'c' -> 'a'"
