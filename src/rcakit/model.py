@@ -171,7 +171,7 @@ class CausalGraph:
     """
 
     __slots__ = ("nodes", "names", "index", "parent_ptr", "parent_ids", "child_ptr", "child_ids",
-                 "order", "_plan", "_edges")
+                 "order", "_plan")
 
     def __init__(self, nodes: Iterable[MetricId], edges: Iterable[tuple[MetricId, MetricId]]):
         names = tuple(sorted(frozenset(nodes)))
@@ -213,7 +213,7 @@ class CausalGraph:
         self.names, self.nodes, self.index = names, frozenset(names), index
         self.parent_ptr, self.parent_ids, self.order = parent_ptr, ups, tuple(order)
         self.child_ptr, self.child_ids = child_ptr, child
-        self._plan = self._edges = None
+        self._plan = None
 
     def _named(self, ptr: np.ndarray, ids: np.ndarray, node) -> tuple:
         i = self.index[node]
@@ -236,10 +236,8 @@ class CausalGraph:
 
     @property
     def edges(self) -> frozenset[tuple[MetricId, MetricId]]:
-        """Every (parent, child) pair, built once; ``child_ids.size`` counts them."""
-        if self._edges is None:
-            self._edges = frozenset(self.sorted_edges())
-        return self._edges
+        """Every (parent, child) pair; ``child_ids.size`` counts them."""
+        return frozenset(self.sorted_edges())
 
     def fit_plan(self, columns: np.ndarray, lag: Optional[int] = None) -> list:
         """``regression.fit_stacks`` blocks fitting node i as data column
