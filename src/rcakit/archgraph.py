@@ -242,11 +242,11 @@ def _check_nesting(text: str, path, loader) -> None:
 
 
 def _name(value, where: str) -> str:
-    """A scalar as a non-empty name; a list or mapping is rejected rather
-    than spelled out (``name: [a]`` is not the name ``['a']``)."""
+    """A non-null scalar as a non-empty name; a list or mapping is rejected
+    rather than spelled out (``name: [a]`` is not the name ``['a']``)."""
     if isinstance(value, (list, dict)):
         raise MalformedInput(f"{where} must be a name, got {type(value).__name__}")
-    if value == "":
+    if value is None or value == "":
         raise MalformedInput(f"{where} must be non-empty")
     return str(value)
 
@@ -259,7 +259,11 @@ def load_architecture(path) -> ArchitectureSpec:
     """
     import yaml
 
-    loader = _loader()
+    base = _loader()
+    # Only nulls and merge keys resolve: ``010``, ``true`` and ``1:20`` stay text.
+    loader = type("Loader", (base,), {"yaml_implicit_resolvers": {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag.endswith((":null", ":merge"))]
+        for first, resolvers in base.yaml_implicit_resolvers.items()}})
     try:
         text = Path(path).read_text(encoding="utf-8")
         _check_nesting(text, path, loader)
@@ -275,13 +279,13 @@ def load_architecture(path) -> ArchitectureSpec:
     for i, entry in enumerate(_as_list(payload.get("services"), f"{path}: services")):
         if not isinstance(entry, dict) or "name" not in entry:
             raise MalformedInput(f"{path}: services[{i}] needs a 'name'")
-        callees = _as_list(entry.get("callees"), f"{path}: services[{i}].callees")
-        if not all(isinstance(c, (str, int)) for c in callees):
-            raise MalformedInput(f"{path}: services[{i}].callees must name services")
-        name = _name(entry["name"], f"{path}: services[{i}].name")
+        where = f"{path}: services[{i}]"
+        callees = tuple(_name(c, f"{where}.callees[{j}]")
+                        for j, c in enumerate(_as_list(entry.get("callees"), f"{where}.callees")))
+        name = _name(entry["name"], f"{where}.name")
         if name in services:
             raise MalformedInput(f"{path}: service {name!r} declared twice")
-        services[name] = tuple(str(c) for c in callees)
+        services[name] = callees
     metric_map: dict[MetricId, frozenset[MetaMetric]] = {}
     for i, entry in enumerate(_as_list(payload.get("metrics"), f"{path}: metrics")):
         if not isinstance(entry, dict) or "name" not in entry or not entry.get("maps_to"):

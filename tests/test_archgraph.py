@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -120,6 +122,12 @@ def test_web_db_skeleton_cross_service_edges():
 def test_empty_service_list():
     skeleton = build_skeleton({})
     assert not skeleton.nodes and not skeleton.edges
+
+
+@pytest.mark.parametrize("services", [{"": ()}, {"web": ("",)}], ids=["service", "callee"])
+def test_empty_service_name_rejected(services):
+    with pytest.raises(ValueError, match="non-empty"):
+        build_skeleton(services)
 
 
 def test_cyclic_call_graph_rejected():
@@ -539,7 +547,10 @@ def test_call_graph_and_compiler_match_networkx(services, data):
     ("services: [{name: web}]\nmetrics: [{name: '', maps_to: [{service: web, dim: traffic}]}]\n",
      "metrics[0].name must be non-empty"),
     ("services: [{name: web}, {name: db}, {name: web}]\n", "service 'web' declared twice"),
-], ids=["empty-service", "empty-metric", "service-twice"])
+    ("services: [{name: }]\nmetrics: [{name: m, maps_to: [{service: None, dim: traffic}]}]\n",
+     "services[0].name must be non-empty"),
+    ("services: [{name: web, callees: ['']}]\n", "services[0].callees[0] must be non-empty"),
+], ids=["empty-service", "empty-metric", "service-twice", "null-service", "empty-callee"])
 def test_bad_names_are_malformed_and_name_the_file(tmp_path, capsys, loader, text, where):
     from rcakit.cli import main
 
@@ -551,3 +562,123 @@ def test_bad_names_are_malformed_and_name_the_file(tmp_path, capsys, loader, tex
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"error: {path}: {where}"]
     assert not (tmp_path / "graph.json").exists()
+
+
+def test_plain_scalars_name_what_they_spell(tmp_path, loader):
+    # YAML 1.1 would read these as True, 8, 80 and 31; a name is the text.
+    path = tmp_path / "arch.yaml"
+    path.write_text(
+        "services:\n"
+        "  - name: true\n"
+        "    callees: [010]\n"
+        "  - name: 1:20\n"
+        "metrics:\n"
+        "  - name: 010\n"
+        "    maps_to:\n"
+        "      - service: 1:20\n"
+        "        dim: traffic\n"
+        "  - name: 0x1F\n"
+        "    maps_to: [{service: true, dim: latency}]\n"
+    )
+    spec = load_architecture(path)
+    assert spec == ArchitectureSpec(
+        services={"true": ("010",), "1:20": ()},
+        metric_map={"010": {mm("1:20", T)}, "0x1F": {mm("true", L)}},
+    )
+    assert build_structural_graph(spec).nodes == {"010", "0x1F"}
+
+
+def test_merge_keys_expand(tmp_path, loader):
+    merged = tmp_path / "merged.yaml"
+    merged.write_text(
+        "base: &web {service: web, dim: traffic}\n"
+        "services: [{name: web, callees: [db]}, {name: db}]\n"
+        "metrics:\n"
+        "  - name: web_qps\n"
+        "    maps_to: [{<<: *web}]\n"
+        "  - name: web_latency\n"
+        "    maps_to:\n"
+        "      - <<: *web\n"
+        "        dim: latency\n"
+    )
+    expanded = tmp_path / "expanded.yaml"
+    expanded.write_text(
+        "services: [{name: web, callees: [db]}, {name: db}]\n"
+        "metrics:\n"
+        "  - {name: web_qps, maps_to: [{service: web, dim: traffic}]}\n"
+        "  - {name: web_latency, maps_to: [{service: web, dim: latency}]}\n"
+    )
+    spec = load_architecture(merged)
+    assert spec == load_architecture(expanded)
+    assert spec.metric_map == {"web_qps": {mm("web", T)}, "web_latency": {mm("web", L)}}
+
+
+#: Scalars a name may be written as, and anything else YAML can put there.
+SCALAR_NAMES = (st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=4)
+                | st.integers() | st.floats() | st.booleans())
+ANY_NAMES = SCALAR_NAMES | st.none() | st.just("") | st.lists(st.text(max_size=2), max_size=2)
+
+
+def written(value) -> str:
+    """The name a dumped scalar spells: a string itself, any other scalar
+    the text the dumper writes for it."""
+    return value if isinstance(value, str) else yaml.safe_dump(value).splitlines()[0]
+
+
+@st.composite
+def fuzzed_architectures(draw):
+    """An arch.yaml payload and the names it holds: in half the draws
+    every name is a scalar, in the others any name may be anything."""
+    pool = draw(st.sampled_from([SCALAR_NAMES, ANY_NAMES]))
+    names = []
+
+    def name():
+        names.append(draw(pool))
+        return names[-1]
+
+    services = [{"name": name(), "callees": [name() for _ in range(draw(st.integers(0, 2)))]}
+                for _ in range(draw(st.integers(0, 3)))]
+    declared = [svc["name"] for svc in services]
+    dims = st.sampled_from(["traffic", "Saturation", "LATENCY", "errors"])
+    metrics = [{"name": name(), "maps_to": [
+                   {"service": draw(st.sampled_from(declared)) if declared and draw(st.booleans())
+                    else name(), "dim": draw(dims if pool is SCALAR_NAMES else dims | pool)}
+                   for _ in range(draw(st.integers(1, 2)))]}
+               for _ in range(draw(st.integers(0, 3)))]
+    return {"services": services, "metrics": metrics}, names
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=fuzzed_architectures(), flow=st.booleans())
+@example(drawn=({"services": [{"name": None, "callees": []}], "metrics": []}, [None]), flow=False)
+def test_fuzzed_names_are_the_text_written_or_an_error_line(drawn, flow):
+    from rcakit.cli import main
+
+    payload, names = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arch.yaml"
+        path.write_text(yaml.safe_dump(payload, default_flow_style=flow), encoding="utf-8")
+        specs = [load_with(loader, path) for loader in LOADERS]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["graph", str(path), "--out", str(Path(tmp) / "graph.json")])
+    assert all(spec == specs[0] for spec in specs)
+    spec = specs[0]
+    if any(value is None or value == "" for value in names):
+        assert not isinstance(spec, ArchitectureSpec)
+    assert code in (0, 1) and "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert sum(line.startswith("error: ") for line in lines) == (code == 1)
+    if not isinstance(spec, ArchitectureSpec):
+        assert code == 1
+        return
+    assert spec.services == {written(s["name"]): tuple(map(written, s["callees"]))
+                             for s in payload["services"]}
+    assert spec.metric_map == {
+        written(m["name"]): frozenset(mm(written(t["service"]),
+                                         MetaMetricDim(written(t["dim"]).lower()))
+                                      for t in m["maps_to"])
+        for m in payload["metrics"]}
+    found = [*spec.services, *(c for callees in spec.services.values() for c in callees),
+             *spec.metric_map, *(m.service for metas in spec.metric_map.values() for m in metas)]
+    assert all(isinstance(name, str) and name for name in found)
