@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -65,6 +67,31 @@ def test_simulate_pooled_is_byte_identical_to_serial(tmp_path):
         "manifest.json", "graph.json", "data.csv", "case.json"}
     assert len(serial) == 1 + 2 * (1 + 9 * 2)
     assert read_tree_bytes(tmp_path / "pooled") == serial
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_in_process_commands_leave_file_descriptor_1_alone(tmp_path, capfd, jobs):
+    # A caller that runs main() in its own process and hides its output with
+    # redirect_stdout, as the benchmark does, must see nothing on fd 1: a
+    # write there (from a forked worker, or a handler bound before the
+    # redirect) would land beside the caller's own output.
+    data, arch = tmp_path / "ds", tmp_path / "arch.yaml"
+    arch.write_text(WEB_DB_YAML)
+    runs = [
+        ["simulate", "--nodes", "10", "--edges", "20", "--graphs", "2", "--cases", "4",
+         "--seed", "5", "--jobs", jobs, "--out", data],
+        ["analyze", data / "g0" / "c0", "--graph", data / "g0" / "graph.json",
+         "--out", tmp_path / "scores.json"],
+        ["evaluate", data, "--scorers", "circa,rht-pg", "--jobs", jobs,
+         "--out", tmp_path / "report.json"],
+        ["graph", arch, "--out", tmp_path / "graph.json"],
+    ]
+    capfd.readouterr()
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([str(arg) for arg in argv]) == 0
+        assert out.getvalue()
+    assert capfd.readouterr().out == ""
 
 
 def test_simulate_infeasible_edges(tmp_path, capsys):
