@@ -353,6 +353,7 @@ def test_loaders_agree_on_dumped_architectures(drawn, flow, allow_unicode):
     # survive the dump; every text that does round-trip gives the spec.
     if yaml.load(text, Loader=yaml.SafeLoader) == payload:
         assert results[0] == spec
+        assert list(results[0].services.items()) == list(spec.services.items())
 
 
 def event_depth(text):
