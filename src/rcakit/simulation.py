@@ -49,6 +49,9 @@ MAX_POISSON_RATE = 1e18
 #: Noise standard deviations below this are clipped to keep metrics alive.
 MIN_NOISE_STD = 0.01
 WEIGHT_LOW, WEIGHT_HIGH = 0.5, 2.0
+#: Most extra-edge tries ``generate_dag`` draws ahead in one call; below it,
+#: a call draws twice the edges still wanted plus 64, so few need a second.
+PAIR_BATCH = 4096
 FAULT_DURATION = 2
 #: Scale of the per-root noise-shift magnitude drawn at injection time,
 #: before the vector is scaled up to guarantee a three-sigma SLI effect.
@@ -130,7 +133,7 @@ class WeightedDag:
         graph = vars(self).get("_graph")
         if graph is None:
             names = self.node_names()
-            effects, causes = np.nonzero(self.A)
+            effects, causes = (ids.tolist() for ids in np.nonzero(self.A))
             graph = CausalGraph(nodes=names,
                                 edges=[(names[j], names[i]) for i, j in zip(effects, causes)])
             object.__setattr__(self, "_graph", graph)
@@ -151,6 +154,11 @@ def generate_dag(n_node: int, n_edge: int, rng_seed) -> WeightedDag:
     edges are sampled uniformly over unused (higher -> lower) pairs.
     Weight magnitudes are uniform in (0.5, 2.0) with random sign; noise
     standard deviations are exponential with scale 1, floored at 0.01.
+    Edge tries are drawn ahead, at most ``PAIR_BATCH`` pairs a call; before
+    the fallback draw and at the end, the generator state saved before them
+    is put back and the k tries consumed are drawn again as one ``(k, 2)``
+    call.  The values and the end state are those of one scalar call per
+    tree parent and one ``size=2`` call per try.
     """
     if n_node < 1:
         raise ValueError("need at least one node")
@@ -161,38 +169,41 @@ def generate_dag(n_node: int, n_edge: int, rng_seed) -> WeightedDag:
             f"(valid range: [{n_node - 1}, {max_edges}])"
         )
     rng = np.random.default_rng(rng_seed)
-    edges: list[tuple[int, int]] = []
-    used = set()
-    for i in range(1, n_node):
-        j = int(rng.integers(0, i))
-        edges.append((i, j))
-        used.add((i, j))
-    for _ in range(n_edge - (n_node - 1)):
-        pair = None
+    # Edge (i, j), i > j, is the code i * n_node + j; a try whose ends are
+    # equal has a diagonal code, in ``used`` from the start.
+    codes = (np.arange(1, n_node) * n_node + rng.integers(0, np.arange(1, n_node))).tolist()
+    used = {*codes, *range(0, n_node * n_node, n_node + 1)}
+    state, k, tries = rng.bit_generator.state, 0, iter(())
+    while len(codes) < n_edge:
         for _ in range(200):
-            a, b = rng.integers(0, n_node, size=2)
-            if a == b:
-                continue
-            i, j = (int(a), int(b)) if a > b else (int(b), int(a))
-            if (i, j) not in used:
-                pair = (i, j)
+            if (code := next(tries, None)) is None:
+                size = min(PAIR_BATCH, 64 + 2 * (n_edge - len(codes)))
+                low, high = np.sort(rng.integers(0, n_node, size=(size, 2)), axis=1).T
+                tries = iter((high * n_node + low).tolist())
+                code = next(tries)
+            k += 1
+            if code not in used:
                 break
-        if pair is None:
+        else:
             # Rejection stalled (dense graph); fall back to an explicit draw
             # over the remaining pairs.
-            free = sorted(
-                (i, j) for i in range(1, n_node) for j in range(i) if (i, j) not in used
-            )
-            pair = free[int(rng.integers(0, len(free)))]
-        edges.append(pair)
-        used.add(pair)
+            rng.bit_generator.state = state
+            rng.integers(0, n_node, size=(k, 2))
+            free = sorted(c for i in range(1, n_node)
+                          for c in range(i * n_node, i * n_node + i) if c not in used)
+            code = free[int(rng.integers(0, len(free)))]
+            state, k, tries = rng.bit_generator.state, 0, iter(())
+        codes.append(code)
+        used.add(code)
+    rng.bit_generator.state = state
+    rng.integers(0, n_node, size=(k, 2))
 
-    magnitudes = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=len(edges))
-    signs = rng.integers(0, 2, size=len(edges)) * 2 - 1
+    magnitudes = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=len(codes))
+    signs = rng.integers(0, 2, size=len(codes)) * 2 - 1
     sigma = np.maximum(rng.exponential(1.0, size=n_node), MIN_NOISE_STD)
     A = np.zeros((n_node, n_node))
-    for (i, j), mag, sign in zip(edges, magnitudes, signs):
-        A[j, i] = sign * mag  # i causes j
+    i_idx, j_idx = np.divmod(np.array(codes, dtype=np.intp), n_node)
+    A[j_idx, i_idx] = signs * magnitudes  # i causes j
     return WeightedDag(A=A, sigma=sigma)
 
 

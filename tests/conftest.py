@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from rcakit import simulation
 from rcakit.model import Case, CausalGraph
 from rcakit.simulation import WeightedDag
 
@@ -44,6 +45,16 @@ def chain_case(X, detect_time=120):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """One entry per run of ``generate_dag``'s explicit draw over the free
+    pairs, counted by a spy on the simulation module's ``sorted``."""
+    calls = []
+    monkeypatch.setattr(simulation, "sorted", lambda pairs: calls.append(1) or sorted(pairs),
+                        raising=False)
+    return calls
 
 
 def random_dagscores(rng, n_nodes=8, edge_prob=0.35, score_scale=6.0):

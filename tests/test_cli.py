@@ -5,9 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcakit import simulation
 from rcakit.cli import build_parser, main
@@ -15,7 +19,7 @@ from rcakit.errors import MalformedInput
 from rcakit.model import CausalGraph, load_case, load_graph
 from rcakit.simulation import case_record, load_dataset
 
-from conftest import read_tree_bytes
+from conftest import metric_names, read_tree_bytes
 
 WEB_DB_YAML = """\
 services:
@@ -608,6 +612,101 @@ def test_analyze_graph_with_repeats_control(tmp_path, capsys):
     assert load_graph(tmp_path / "graph.json") == CausalGraph(["a", "b"], [("b", "a")])
     assert main(["analyze", str(case_dir), "--graph", str(tmp_path / "graph.json"),
                  "--scorer", "rht", "--out", str(tmp_path / "scores.json")]) == 0
+
+
+#: Any JSON value.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+#: Node names: the case's metrics, others, the empty string, and non-strings.
+GRAPH_NAMES = (st.sampled_from(["a", "b", "c"]) | metric_names | st.just("")
+               | st.integers(0, 2) | st.none() | st.lists(st.just("a"), max_size=2))
+
+
+@st.composite
+def near_graphs(draw):
+    """A graph.json payload: a graph over a few names, with repeats and, in
+    half the draws, self-loops and cycles; that graph with one edit (a node
+    or an edge end replaced by any name, an edge cut short or made long, a
+    key set to any JSON value); or any JSON value."""
+    kind = draw(st.sampled_from(["graph", "near", "any"]))
+    if kind == "any":
+        return draw(JSON_VALUES)
+    nodes = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=5))
+    edges = draw(st.lists(st.lists(st.sampled_from(nodes), min_size=2, max_size=2),
+                          max_size=4))
+    if draw(st.booleans()):  # parent above child: acyclic
+        edges = [sorted(e, reverse=True) for e in edges if e[0] != e[1]]
+    payload = {"nodes": nodes, "edges": edges}
+    if kind == "near":
+        edit = draw(st.sampled_from(["node", "end", "short", "long", "key"]))
+        if edit == "node":
+            nodes[draw(st.integers(0, len(nodes) - 1))] = draw(GRAPH_NAMES)
+        elif edit == "key":
+            payload[draw(st.sampled_from(["nodes", "edges", "A"]))] = draw(JSON_VALUES)
+        elif not edges:
+            edges.append([draw(GRAPH_NAMES), draw(GRAPH_NAMES)])
+        elif edit == "end":
+            edges[-1][draw(st.integers(0, 1))] = draw(GRAPH_NAMES)
+        else:
+            edges[-1] = edges[-1][:1] if edit == "short" else [*edges[-1], draw(GRAPH_NAMES)]
+    return payload
+
+
+def graph_oracle(payload):
+    """The (names, edges) a payload describes, or None when it is not a
+    graph.json: lists of non-empty string nodes and [parent, child] string
+    pairs over them, acyclic by networkx."""
+    if not isinstance(payload, dict):
+        return None
+    nodes, edges = payload.get("nodes"), payload.get("edges")
+    if not (isinstance(nodes, list) and all(isinstance(v, str) and v for v in nodes)):
+        return None
+    if not (isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
+            and set(e) <= set(nodes) for e in edges)):
+        return None
+    dag = nx.DiGraph(list(map(tuple, edges)))
+    dag.add_nodes_from(nodes)
+    if not nx.is_directed_acyclic_graph(dag):
+        return None
+    return tuple(sorted(set(nodes))), set(map(tuple, edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=near_graphs())
+@example(payload={"nodes": ["a", "b"], "edges": [["a", "a"]]}).via("self-loop")
+@example(payload={"nodes": ["a", "b", "a"], "edges": [["b", "a"], ["b", "a"]]}).via("repeats")
+@example(payload={"nodes": ["a"], "edges": [["a", "b"]]}).via("missing node")
+@example(payload={"nodes": [True], "edges": []}).via("wrong type")
+@example(payload={"nodes": ["a", ""], "edges": []}).via("empty name")
+@example(payload={"nodes": ["a"], "edges": [["a", ["a"]]]}).via("list end")
+def test_fuzzed_graph_loads_as_written_or_is_an_error_line(payload):
+    want = graph_oracle(payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        case_dir = tmp / "case"
+        case_dir.mkdir()
+        (case_dir / "case.json").write_text(GOOD_META)
+        (case_dir / "data.csv").write_text(GOOD_CSV)
+        path = tmp / "graph.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            graph = load_graph(path)
+        except MalformedInput as exc:
+            assert want is None and str(path) in str(exc)
+        else:
+            assert want == (graph.names, set(graph.edges))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(case_dir), "--graph", str(path), "--scorer", "rht",
+                         "--out", str(tmp / "scores.json")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1) and "Traceback" not in err.getvalue()
+    assert sum(line.startswith("error: ") for line in lines) == (code == 1)
+    assert code == 1 or want is not None
 
 
 def write_one_case_dataset(root, manifest, meta):

@@ -73,9 +73,12 @@ def test_generate_dag_edge_budget():
         generate_dag(50, 50 * 49 // 2 + 1, rng_seed=0)
 
 
-def test_generate_dag_dense_budget_met():
-    dag = generate_dag(8, 8 * 7 // 2, rng_seed=1)  # complete DAG forces the fallback path
-    assert np.count_nonzero(dag.A) == 28
+def test_generate_dag_dense_budget_met(fallback_calls):
+    # A complete 20-node DAG: at this seed rejection stalls twice, so the
+    # explicit draw over the free pairs runs twice.
+    dag = generate_dag(20, 20 * 19 // 2, rng_seed=(1, 20))
+    assert len(fallback_calls) == 2
+    assert np.count_nonzero(dag.A) == 190
 
 
 def test_weighted_dag_validation():
