@@ -11,7 +11,7 @@ from rcakit.simulation import generate_case, generate_dag
 
 rng_seed = 42
 dag = generate_dag(n_node=30, n_edge=60, rng_seed=rng_seed)
-graph = dag.to_causal_graph()
+graph = dag.graph
 
 # Two hours of per-minute history plus five minutes after detection; the
 # fault starts at detection time, minute 120.

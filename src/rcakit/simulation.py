@@ -17,7 +17,6 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -75,16 +74,18 @@ class WeightedDag:
 
     ``A[i, j] != 0`` means node j causes node i with that weight.  The
     nonzero pattern must be acyclic, node 0 must have no children, and
-    weight magnitudes must lie in (0.5, 2.0).  The propagation matrix
-    ``W`` is solved on first use and shared by every case of the graph.
-    The causal graph of the nonzero pattern is built once, on construction,
-    where it validates the pattern, and not pickled: pool workers get ``A``,
-    ``sigma`` and ``W``.
+    weight magnitudes must lie in (0.5, 2.0); noise standard deviations
+    must be positive and finite.  Construction sets, from one scan of the
+    nonzeros, ``graph``: that pattern over the ``metric_name`` names, so
+    node ids are indices of ``A``; and ``W``, the read-only propagation
+    matrix every case of the graph shares.  Both travel in a pickle.
     """
 
     A: np.ndarray
     sigma: np.ndarray
     beta: float = DEFAULT_BETA
+    graph: CausalGraph = field(init=False, repr=False, compare=False)
+    W: np.ndarray = field(init=False, repr=False, compare=False)
 
     __setstate__ = restore_read_only
 
@@ -94,50 +95,32 @@ class WeightedDag:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         n = A.shape[0]
+        if n == 0:
+            raise ValueError("need at least one node")
         if sigma.shape != (n,):
             raise ValueError("sigma must have one entry per node")
-        if (sigma <= 0).any():
-            raise ValueError("noise standard deviations must be positive")
-        if np.diagonal(A).any():
+        if not (np.isfinite(sigma) & (sigma > 0)).all():
+            raise ValueError("noise standard deviations must be positive and finite")
+        effects, causes = np.nonzero(A)  # NaN is nonzero, and fails the range check
+        if (effects == causes).any():
             raise ValueError("A must have a zero diagonal")
-        if A[:, 0].any():
+        if (causes == 0).any():
             raise ValueError("node 0 is the SLI sink and may cause nothing")
-        nz = np.abs(A[A != 0])
-        if nz.size and ((nz <= WEIGHT_LOW) | (nz >= WEIGHT_HIGH)).any():
+        nz = np.abs(A[effects, causes])
+        if not ((nz > WEIGHT_LOW) & (nz < WEIGHT_HIGH)).all():
             raise ValueError(f"edge weight magnitudes must lie in ({WEIGHT_LOW}, {WEIGHT_HIGH})")
-        A.flags.writeable = False
-        sigma.flags.writeable = False
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "sigma", sigma)
-        self.to_causal_graph()  # validates acyclicity of the edge pattern
-
-    def __getstate__(self) -> dict:
-        return {key: value for key, value in vars(self).items() if key != "_graph"}
+        names = [metric_name(i, n) for i in range(n)]
+        edges = [(names[j], names[i]) for i, j in zip(effects.tolist(), causes.tolist())]
+        graph = CausalGraph(nodes=names, edges=edges)
+        A.flags.writeable = sigma.flags.writeable = False
+        vars(self).update(A=A, sigma=sigma, graph=graph)
+        W = propagation_matrix(self)
+        W.flags.writeable = False
+        vars(self)["W"] = W
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        """Read-only ``propagation_matrix(self)``, solved once per graph."""
-        W = propagation_matrix(self)
-        W.flags.writeable = False
-        return W
-
-    def node_names(self) -> list[MetricId]:
-        return [metric_name(i, self.n) for i in range(self.n)]
-
-    def to_causal_graph(self) -> CausalGraph:
-        """The graph of ``A``'s edges, built on first use and kept."""
-        graph = vars(self).get("_graph")
-        if graph is None:
-            names = self.node_names()
-            effects, causes = (ids.tolist() for ids in np.nonzero(self.A))
-            graph = CausalGraph(nodes=names,
-                                edges=[(names[j], names[i]) for i, j in zip(effects, causes)])
-            object.__setattr__(self, "_graph", graph)
-        return graph
 
 
 def propagation_matrix(dag: WeightedDag) -> np.ndarray:
@@ -248,8 +231,8 @@ def classify_fault(dag: WeightedDag, sigma_hat: Sequence[float],
     roots or a ratio of exactly 1) is Mixed.
     """
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if (sigma_hat <= 0).any():
-        raise ValueError("sigma_hat must be positive elementwise")
+    if not (np.isfinite(sigma_hat) & (sigma_hat > 0)).all():
+        raise ValueError("sigma_hat must be positive and finite elementwise")
     ratios = np.array([dag.W[0, i] * sigma_hat[i] / sigma_hat[0] for i in sorted(roots)])
     if (ratios < 1.0).all():
         return FaultType.WEAK
@@ -381,7 +364,7 @@ def generate_case(dag: WeightedDag, rng_seed,
     sigma_hat = np.maximum(X[:t_ref - t_test + 1].std(axis=0), 1e-12)
     roots, alpha = _sample_fault(dag, sigma_hat, rng, poisson_rate)
     faulty = apply_noise_shift(dag, X, t_ref, dict(zip(roots, alpha)))  # starts at detection
-    names = dag.node_names()
+    names = dag.graph.names
     case = Case(metrics=names, values=faulty, start_time=0, detect_time=t_ref, sli=names[0],
                 t_ref=t_ref, t_delay=t_delay, t_test=t_test)
     fault = InjectedFault(alpha={names[i]: float(a) for i, a in zip(roots, alpha)},
@@ -441,12 +424,13 @@ def generate_dataset(
 ) -> SimulatedDataset:
     """Draw ``n_graphs`` systems with ``cases_per_graph`` faulty cases each.
 
-    Graphs are drawn here and shared across their cases; each case is a
-    ``CaseRecipe``, drawn by ``case_record`` where it is used (``save_dataset``
-    and ``evaluate`` do so in the task that writes or scores it).  Sub-streams
-    are split off the master seed per graph and per case, so any case is
-    reproducible in isolation and the same on any worker.  The windows and
-    the rate are checked here, before anything is drawn or written.
+    Graphs are drawn here, each dag with its graph and ``W``, and shared
+    across their cases; each case is a ``CaseRecipe``, drawn by
+    ``case_record`` where it is used (``save_dataset`` and ``evaluate`` do
+    so in the task that writes or scores it) without solving ``W`` again.
+    Sub-streams are split off the master seed per graph and per case, so
+    any case is reproducible in isolation and the same on any worker.  The
+    windows and the rate are checked here, before anything is drawn or written.
     """
     _check_recipe(t_ref, t_delay, t_test, poisson_rate)
     root_seq = np.random.SeedSequence(rng_seed)
@@ -456,10 +440,9 @@ def generate_dataset(
     for g, graph_seq in enumerate(root_seq.spawn(n_graphs)):
         streams = graph_seq.spawn(cases_per_graph + 1)
         dag = generate_dag(n_node, n_edge, np.random.default_rng(streams[0]))
-        dag.W  # solve here, so pool workers receive W with the dag
         recipes = [CaseRecipe(f"c{c:0{case_width}d}", dag, streams[c + 1],
                               t_ref, t_delay, t_test, poisson_rate) for c in range(cases_per_graph)]
-        graphs.append(GraphRecord(f"g{g:0{graph_width}d}", dag.to_causal_graph(), recipes, dag))
+        graphs.append(GraphRecord(f"g{g:0{graph_width}d}", dag.graph, recipes, dag))
     params = {
         "n_node": n_node, "n_edge": n_edge, "n_graphs": n_graphs,
         "cases_per_graph": cases_per_graph, "seed": rng_seed,

@@ -200,7 +200,7 @@ def test_criterion_09_intervention_recognition_monte_carlo():
         X = simulate_matrix(dag, 126, rng)
         faulty = apply_noise_shift(dag, X, 120, {1: 10.0})
         case = chain_case(faulty)
-        scores = rht_score(case, dag.to_causal_graph(), use_lagged_self=True)
+        scores = rht_score(case, dag.graph, use_lagged_self=True)
         if rank(scores)[0][0] == "m1":
             ranked_first += 1
         if scores["m1"] > 3.0 and scores["m0"] <= 3.0:

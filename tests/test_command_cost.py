@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -238,9 +239,11 @@ def test_each_simulated_graph_is_built_once(monkeypatch):
     dataset = generate_dataset(12, 30, n_graphs=3, cases_per_graph=2, rng_seed=4)
     assert len(built) == 3
     for record in dataset.graphs:
-        assert record.graph is record.dag.to_causal_graph()
-    # A pickled dag leaves its graph behind and builds an equal one on use.
-    dag = dataset.graphs[0].dag
+        assert record.graph is record.dag.graph
+    # A pickled dag carries its graph and W, equal to the original's.
+    monkeypatch.undo()  # the counting class is local, so pickle cannot name it
+    dag = simulation.generate_dag(12, 30, rng_seed=4)
     copy = pickle.loads(pickle.dumps(dag))
-    assert "_graph" not in vars(copy) and copy.to_causal_graph() == dag.to_causal_graph()
+    assert {"graph", "W"} <= vars(copy).keys()
+    assert copy.graph == dag.graph and np.array_equal(copy.W, dag.W)
     assert not copy.A.flags.writeable and not copy.W.flags.writeable

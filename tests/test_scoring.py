@@ -116,7 +116,7 @@ def test_rht_chain_intervention_criterion():
     X = simulate_matrix(dag, 126, rng)
     faulty = apply_noise_shift(dag, X, 120, {1: 10.0})
     case = chain_case(faulty)
-    scores = rht_score(case, dag.to_causal_graph(), use_lagged_self=True)
+    scores = rht_score(case, dag.graph, use_lagged_self=True)
     assert scores["m1"] > 5.0
     assert scores["m2"] < 3.0   # upstream parent untouched
     assert scores["m0"] < 3.0   # downstream child explained away
@@ -387,7 +387,7 @@ def test_run_scorer_contracts():
     X = simulate_matrix(dag, 126, rng)
     faulty = apply_noise_shift(dag, X, 120, {1: 8.0})
     case = chain_case(faulty)
-    graph = dag.to_causal_graph()
+    graph = dag.graph
     truth = GroundTruth(frozenset({"m1"}))
 
     rht_table, _ = run_scorer("rht", case, graph)
@@ -422,7 +422,7 @@ def test_registered_scorers_compose_public_functions():
     dag = chain_dag()
     X = simulate_matrix(dag, 126, np.random.default_rng(9))
     case = chain_case(X)
-    graph = dag.to_causal_graph()
+    graph = dag.graph
     rht, _ = run_scorer("rht", case, graph)
     circa, _ = run_scorer("circa", case, graph)
     pg, _ = run_scorer("rht-pg", case, graph)

@@ -63,7 +63,7 @@ def test_generate_dag_counts_and_invariants():
         magnitudes = np.abs(dag.A[dag.A != 0])
         assert ((magnitudes > 0.5) & (magnitudes < 2.0)).all()
         assert (dag.sigma >= 0.01).all()
-        dag.to_causal_graph().topological_order()  # acyclic
+        dag.graph.topological_order()  # acyclic
 
 
 def test_generate_dag_edge_budget():
@@ -88,6 +88,30 @@ def test_weighted_dag_validation():
         WeightedDag(A=np.array([[0.0, 0.0], [1.0, 0.0]]), sigma=np.ones(2))  # SLI has a child
     with pytest.raises(ValueError):
         WeightedDag(A=np.zeros((2, 2)), sigma=np.array([1.0, -1.0]))
+    # NaN and inf fail every check they reach, and an empty dag is refused.
+    for A, sigma, named in [
+        ([[0, np.nan], [0, 0]], [1, 1], "edge weight"),
+        ([[0, -np.inf], [0, 0]], [1, 1], "edge weight"),
+        ([[np.nan, 0], [0, 0]], [1, 1], "zero diagonal"),
+        ([[0, 0], [np.nan, 0]], [1, 1], "SLI sink"),
+        (np.zeros((2, 2)), [1, np.nan], "noise standard deviations"),
+        (np.zeros((2, 2)), [np.inf, 1], "noise standard deviations"),
+        (np.zeros((0, 0)), np.zeros(0), "at least one node"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            WeightedDag(A=np.array(A, dtype=float), sigma=np.array(sigma, dtype=float))
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 1000, 1001])
+def test_dag_graph_ids_are_indices(n):
+    # The names are padded at the digit-width edges, so that sorted names
+    # keep index order and each graph id is the index of its row of A.
+    names = tuple(simulation.metric_name(i, n) for i in range(n))
+    drawn = generate_dag(n, min(2 * n, n * (n - 1) // 2), rng_seed=n)
+    for dag in (drawn, WeightedDag(A=np.zeros((n, n)), sigma=np.ones(n))):
+        assert dag.graph.names == names
+        edges = {(int(p[1:]), int(c[1:])) for p, c in dag.graph.sorted_edges()}
+        assert edges == {(j, i) for i, j in np.argwhere(dag.A).tolist()}
 
 
 def test_simulate_pure_noise():
@@ -217,6 +241,16 @@ def test_classify_fault_definitions():
     dag3 = WeightedDag(A=A3, sigma=np.ones(3), beta=0.0)
     # ratios 0.5 and 1.5: straddling
     assert classify_fault(dag3, [1.0, 1.0 / 3.0, 1.0], [1, 2]) is FaultType.MIXED
+
+
+@pytest.mark.parametrize("sigma_hat", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf],
+                                       [0.0, 1.0]])
+def test_classify_fault_refuses_non_finite_sigma_hat(sigma_hat):
+    A = np.zeros((2, 2))
+    A[0, 1] = 1.5
+    dag = WeightedDag(A=A, sigma=np.ones(2))
+    with pytest.raises(ValueError, match="sigma_hat"):
+        classify_fault(dag, sigma_hat, [1])
 
 
 def test_classify_fault_scale_invariant():
@@ -359,7 +393,6 @@ def test_save_dataset_refuses_non_empty_dir(tmp_path):
 
 def test_weighted_dag_pickle_keeps_arrays_read_only():
     dag = generate_dag(20, 40, rng_seed=3)
-    dag.W  # solved before pickling, as generate_dataset does for pool workers
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         clone = pickle.loads(pickle.dumps(dag, protocol))
         assert "W" in vars(clone)  # travels with the dag; not solved again
