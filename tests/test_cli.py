@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from rcakit import simulation
 from rcakit.cli import build_parser, main
 from rcakit.errors import MalformedInput
-from rcakit.model import CausalGraph, load_case, load_graph
+from rcakit.model import CausalGraph, load_case, load_graph, save_case
 from rcakit.simulation import case_record, load_dataset
 
 from conftest import metric_names, read_tree_bytes
@@ -741,6 +741,98 @@ def test_evaluate_well_formed_dataset_control(tmp_path):
     write_one_case_dataset(tmp_path / "ds", '{"seed": 1}', GOOD_META_ROOTS)
     assert main(["evaluate", str(tmp_path / "ds"), "--scorers", "nsigma", "--jobs", "1",
                  "--out", str(tmp_path / "report.json")]) == 0
+
+
+GOOD_MANIFEST = {"n_node": 2, "n_edge": 0, "n_graphs": 1, "cases_per_graph": 1, "seed": 1,
+                 "t_ref": 2, "t_delay": 0, "t_test": 1, "poisson_rate": 1.0, "beta": 0.1}
+#: Text a data.csv field may be set to: numbers, near-numbers, names that
+#: need quoting, quoted, and any text.
+CSV_FIELDS = (st.sampled_from(["", "7", "1.5", "-0.0", " 1", "1e", "nan", "inf", "1_0", "0x1",
+                               "a", "b", "timestamp", '"c,d"', '"c""d"', '"c\nd"'])
+              | st.text(max_size=3))
+
+
+def edit_fields(draw, fields: dict) -> dict:
+    """``fields`` with up to three of them set to any JSON value or dropped."""
+    fields = dict(fields)
+    for name in draw(st.lists(st.sampled_from(sorted(fields)), unique=True, max_size=3)):
+        if draw(st.booleans()):
+            del fields[name]
+        else:
+            fields[name] = draw(JSON_VALUES)
+    return fields
+
+
+@st.composite
+def near_datasets(draw):
+    """The files of a one-case dataset: case.json and manifest.json with
+    fields set to any JSON value or dropped, or either one any JSON value;
+    and data.csv with one edit (a field emptied, quoted or set to other
+    text, a row cut short or made long, a header renamed or duplicated, a
+    blank row, CRLF line ends) or none."""
+    meta = edit_fields(draw, json.loads(GOOD_META_ROOTS) | {"fault_type": "Weak"})
+    manifest = edit_fields(draw, GOOD_MANIFEST)
+    if draw(st.integers(0, 9)) == 0:
+        meta = draw(JSON_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        manifest = draw(JSON_VALUES)
+    rows = [line.split(",") for line in GOOD_CSV.splitlines()]
+    edit = draw(st.sampled_from(["none", "empty", "quote", "text", "short", "long", "rename",
+                                 "duplicate", "blank", "crlf"]))
+    row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+    if edit == "empty":
+        rows[row][col] = ""
+    elif edit == "quote":
+        rows[row][col] = f'"{rows[row][col]}"'
+    elif edit == "text":
+        rows[row][col] = draw(CSV_FIELDS)
+    elif edit == "short":
+        del rows[row][col]
+    elif edit == "long":
+        rows[row].insert(col, draw(CSV_FIELDS))
+    elif edit == "rename":
+        rows[0][col] = draw(CSV_FIELDS | metric_names)
+    elif edit == "duplicate":
+        rows[0][col] = rows[0][draw(st.integers(0, 2))]
+    elif edit == "blank":
+        rows.insert(row + 1, [""])
+    end = "\r\n" if edit == "crlf" else "\n"
+    data = "".join(",".join(fields) + end for fields in rows)
+    return json.dumps(meta), data, json.dumps(manifest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(files=near_datasets())
+@example(files=(GOOD_META_ROOTS, GOOD_CSV, json.dumps(GOOD_MANIFEST))).via("unedited")
+@example(files=(GOOD_META_ROOTS, GOOD_CSV.replace("\n", "\r\n"), "{}")).via("crlf")
+@example(files=(GOOD_META_ROOTS, GOOD_CSV.replace("a", '"a"'), "{}")).via("quoted name")
+@example(files=(meta_with(root_causes=['b,"c"']), GOOD_CSV.replace(",b", ',"b,""c"""'), "{}")
+         ).via("name that needs quoting")
+@example(files=(GOOD_META_ROOTS, GOOD_CSV.replace("1.0", '"1.0"'), "{}")).via("quoted number")
+def test_fuzzed_case_and_manifest_load_as_written_or_are_an_error_line(files):
+    meta, data, manifest = files
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_one_case_dataset(tmp / "ds", manifest, meta)
+        case_dir = tmp / "ds" / "g0" / "c0"
+        (case_dir / "data.csv").write_text(data, newline="")
+        try:
+            record = load_case(case_dir)
+        except MalformedInput as exc:
+            assert str(case_dir) in str(exc)
+        else:
+            save_case(tmp / "again", record.case, record.truth, record.fault_type)
+            again = load_case(tmp / "again")
+            assert (again.case, again.truth, again.fault_type) == (
+                record.case, record.truth, record.fault_type)
+        for argv in (["analyze", str(case_dir), "--scorer", "nsigma"],
+                     ["evaluate", str(tmp / "ds"), "--scorers", "nsigma", "--jobs", "1"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(tmp / "out.json")])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1) and "Traceback" not in err.getvalue()
+            assert sum(line.startswith("error: ") for line in lines) == (code == 1)
 
 
 def test_evaluate_malformed_dataset_graph_is_an_error(tmp_path, capsys):
