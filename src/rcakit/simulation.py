@@ -48,9 +48,6 @@ MAX_POISSON_RATE = 1e18
 #: Noise standard deviations below this are clipped to keep metrics alive.
 MIN_NOISE_STD = 0.01
 WEIGHT_LOW, WEIGHT_HIGH = 0.5, 2.0
-#: Most extra-edge tries ``generate_dag`` draws ahead in one call; below it,
-#: a call draws twice the edges still wanted plus 64, so few need a second.
-PAIR_BATCH = 4096
 FAULT_DURATION = 2
 #: Scale of the per-root noise-shift magnitude drawn at injection time,
 #: before the vector is scaled up to guarantee a three-sigma SLI effect.
@@ -137,11 +134,9 @@ def generate_dag(n_node: int, n_edge: int, rng_seed) -> WeightedDag:
     edges are sampled uniformly over unused (higher -> lower) pairs.
     Weight magnitudes are uniform in (0.5, 2.0) with random sign; noise
     standard deviations are exponential with scale 1, floored at 0.01.
-    Edge tries are drawn ahead, at most ``PAIR_BATCH`` pairs a call; before
-    the fallback draw and at the end, the generator state saved before them
-    is put back and the k tries consumed are drawn again as one ``(k, 2)``
-    call.  The values and the end state are those of one scalar call per
-    tree parent and one ``size=2`` call per try.
+    Edge tries are drawn in batches never longer than the loop will use, so
+    the draw equals one scalar call per tree parent and one ``size=2`` call
+    per try.
     """
     if n_node < 1:
         raise ValueError("need at least one node")
@@ -156,30 +151,28 @@ def generate_dag(n_node: int, n_edge: int, rng_seed) -> WeightedDag:
     # equal has a diagonal code, in ``used`` from the start.
     codes = (np.arange(1, n_node) * n_node + rng.integers(0, np.arange(1, n_node))).tolist()
     used = {*codes, *range(0, n_node * n_node, n_node + 1)}
-    state, k, tries = rng.bit_generator.state, 0, iter(())
+    refused = 0  # tries refused since the last accepted or fallback edge
     while len(codes) < n_edge:
-        for _ in range(200):
-            if (code := next(tries, None)) is None:
-                size = min(PAIR_BATCH, 64 + 2 * (n_edge - len(codes)))
-                low, high = np.sort(rng.integers(0, n_node, size=(size, 2)), axis=1).T
-                tries = iter((high * n_node + low).tolist())
-                code = next(tries)
-            k += 1
-            if code not in used:
-                break
-        else:
+        # Filling the budget takes m accepted tries and a stall takes m
+        # refused ones, so either ends the loop only at the batch's end.
+        m = min(n_edge - len(codes), 200 - refused)
+        low, high = np.sort(rng.integers(0, n_node, size=(m, 2)), axis=1).T
+        for code in (high * n_node + low).tolist():
+            if code in used:
+                refused += 1
+            else:
+                codes.append(code)
+                used.add(code)
+                refused = 0
+        if refused == 200:
             # Rejection stalled (dense graph); fall back to an explicit draw
             # over the remaining pairs.
-            rng.bit_generator.state = state
-            rng.integers(0, n_node, size=(k, 2))
             free = sorted(c for i in range(1, n_node)
                           for c in range(i * n_node, i * n_node + i) if c not in used)
             code = free[int(rng.integers(0, len(free)))]
-            state, k, tries = rng.bit_generator.state, 0, iter(())
-        codes.append(code)
-        used.add(code)
-    rng.bit_generator.state = state
-    rng.integers(0, n_node, size=(k, 2))
+            codes.append(code)
+            used.add(code)
+            refused = 0
 
     magnitudes = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=len(codes))
     signs = rng.integers(0, 2, size=len(codes)) * 2 - 1

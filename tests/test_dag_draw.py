@@ -1,11 +1,12 @@
 """``generate_dag`` draws the stream of the frozen per-try loop.
 
-The library draws its extra-edge tries ahead in batches and, before the
-fallback draw and at the end, redraws the tries it used as one call.  That
-is only the same stream if numpy's bounded integer draws do not depend on
-how they are batched; the first tests pin that behaviour of numpy itself,
-so an upgrade that breaks it fails here by name.  The rest compare ``A``,
-``sigma`` and the generator's end state with ``dag_reference``.
+The library draws its extra-edge tries in ``(m, 2)`` batches, each no
+longer than the loop is sure to use, where the frozen loop makes one
+``size=2`` call per try.  That is only the same stream if numpy's bounded
+integer draws do not depend on how they are batched; the first tests pin
+that behaviour of numpy itself, so an upgrade that breaks it fails here by
+name.  The rest compare ``A``, ``sigma`` and the generator's end state with
+``dag_reference``.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rcakit import simulation
 from rcakit.simulation import generate_dag
 
 import dag_reference
@@ -65,6 +65,13 @@ def budgets(draw):
 @given(budgets())
 @example((1, 0, 0)).via("one node, no edges")
 @example((30, 435, 3)).via("complete: the fallback runs")
+@example((40, 200, 0)).via("40 nodes, sparse")
+@example((20, 190, (1, 20))).via("complete at 20")
+@example((120, 1500, 2)).via("120 nodes")
+@example((20, 189, 4)).via("complete - 1 at 20")
+@example((20, 187, 5)).via("complete - 3 at 20")
+@example((30, 434, 6)).via("complete - 1 at 30")
+@example((30, 432, 7)).via("complete - 3 at 30")
 def test_draw_matches_frozen_loop(drawn):
     assert_same_draw(*drawn)
 
@@ -80,10 +87,3 @@ def test_fixed_rows_match_frozen_loop(fallback_calls, n_node, n_edge, seeds):
         assert_same_draw(n_node, n_edge, seed)
     # The frozen loop calls the builtin sorted, so the count is the library's.
     assert (len(fallback_calls) > 0) == (n_edge == n_node * (n_node - 1) // 2)
-
-
-@pytest.mark.parametrize("batch", [1, 3, 64])
-def test_small_batches_match_frozen_loop(monkeypatch, batch):
-    monkeypatch.setattr(simulation, "PAIR_BATCH", batch)
-    for n_node, n_edge, seed in [(40, 200, 0), (20, 190, (1, 20)), (120, 1500, 2)]:
-        assert_same_draw(n_node, n_edge, seed)
