@@ -149,7 +149,7 @@ def evaluate(
             ac_mean=tuple(float(v) for v in ac_mean),
             ac_std=tuple(float(v) for v in ac_std),
             avg_at_k=float(ac_mean.mean()),
-            mean_time_s=float(np.mean(times)) if times else float("nan"),
+            mean_time_s=float(np.mean(times)),
             per_graph=graph_ac,
             by_fault_type={
                 ft: {
@@ -199,4 +199,5 @@ def format_table(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(report.to_json(), indent=2, sort_keys=True,
+                                      allow_nan=False) + "\n")

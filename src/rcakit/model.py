@@ -307,11 +307,19 @@ def save_graph(graph: CausalGraph, path) -> None:
     Path(path).write_text(f'{{\n  "edges": {edges},\n  "nodes": {nodes}\n}}\n')
 
 
+def _finite(literal: str) -> float:
+    """The float a JSON number or constant names; ValueError unless finite."""
+    if not math.isfinite(value := float(literal)):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
+
+
 def read_json(path) -> dict:
     """The JSON object in the file ``path``.  Raises MalformedInput naming the
-    file when its text does not decode, nests too deep or is no object."""
+    file when its text is not strict JSON, nests too deep or is no object."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"),
+                             parse_constant=_finite, parse_float=_finite)
     except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -467,16 +475,15 @@ def load_case(directory) -> CaseRecord:
             timestamps = [int(text.split(",", 1)[0]) for text in lines]
         except ValueError as exc:
             raise ValueError(_first_bad_row(lines, first_line, len(header)) or exc) from exc
-        steps = set(np.diff(timestamps).tolist())
-        if len(steps) != 1:
-            diffs = np.diff(timestamps)
+        diffs = np.diff(timestamps)
+        if (diffs != diffs[0]).any():
             line = first_line + 1 + int(np.argmax(diffs != diffs[0]))
             raise ValueError(f"data.csv line {line}: timestamps are not evenly spaced")
         case = Case(
             metrics=header[1:],
             values=table[:, 1:],
             start_time=timestamps[0],
-            interval=steps.pop(),
+            interval=int(diffs[0]),
             detect_time=_case_field(meta, "detect_time", int),
             sli=_case_field(meta, "sli", str),
             t_ref=_case_field(meta, "t_ref", int, DEFAULT_T_REF),

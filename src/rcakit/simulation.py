@@ -151,28 +151,27 @@ def generate_dag(n_node: int, n_edge: int, rng_seed) -> WeightedDag:
     # equal has a diagonal code, in ``used`` from the start.
     codes = (np.arange(1, n_node) * n_node + rng.integers(0, np.arange(1, n_node))).tolist()
     used = {*codes, *range(0, n_node * n_node, n_node + 1)}
-    refused = 0  # tries refused since the last accepted or fallback edge
+    refused = 0  # tries refused since the last edge was added
     while len(codes) < n_edge:
-        # Filling the budget takes m accepted tries and a stall takes m
-        # refused ones, so either ends the loop only at the batch's end.
-        m = min(n_edge - len(codes), 200 - refused)
-        low, high = np.sort(rng.integers(0, n_node, size=(m, 2)), axis=1).T
-        for code in (high * n_node + low).tolist():
+        if refused == 200:
+            # Rejection stalled (dense graph); fall back to an explicit draw
+            # over the remaining pairs.
+            free = sorted(c for i in range(1, n_node)
+                          for c in range(i * n_node, i * n_node + i) if c not in used)
+            tries = [free[int(rng.integers(0, len(free)))]]
+        else:
+            # Filling the budget takes m accepted tries and a stall m refused
+            # ones, so either ends the loop only at the batch's end.
+            m = min(n_edge - len(codes), 200 - refused)
+            low, high = np.sort(rng.integers(0, n_node, size=(m, 2)), axis=1).T
+            tries = (high * n_node + low).tolist()
+        for code in tries:
             if code in used:
                 refused += 1
             else:
                 codes.append(code)
                 used.add(code)
                 refused = 0
-        if refused == 200:
-            # Rejection stalled (dense graph); fall back to an explicit draw
-            # over the remaining pairs.
-            free = sorted(c for i in range(1, n_node)
-                          for c in range(i * n_node, i * n_node + i) if c not in used)
-            code = free[int(rng.integers(0, len(free)))]
-            codes.append(code)
-            used.add(code)
-            refused = 0
 
     magnitudes = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=len(codes))
     signs = rng.integers(0, 2, size=len(codes)) * 2 - 1
@@ -366,15 +365,15 @@ def generate_case(dag: WeightedDag, rng_seed,
 
 
 def _pool_map(fn: Callable, tasks: Sequence, jobs: Optional[int]) -> list:
-    """``[fn(t) for t in tasks]``, on ``jobs`` worker processes when ``jobs`` > 1.
-    The first task to fail, in task order, raises here; the pool shuts down either way.
-    The pool starts by the platform's default method (fork on Linux), and is
-    imported here, so that a serial command never loads multiprocessing."""
-    if not jobs or jobs <= 1:
+    """``[fn(t) for t in tasks]``, on ``min(jobs, len(tasks))`` worker processes when
+    that is above 1.  The first task to fail, in task order, raises here; the pool
+    shuts down either way.  It starts by the platform's default method (fork on Linux,
+    all workers at once) and is imported here: a serial command never loads multiprocessing."""
+    if (workers := min(jobs or 1, len(tasks))) <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
         return list(pool.map(fn, tasks, chunksize=8))
     finally:
@@ -479,9 +478,8 @@ def save_dataset(dataset: SimulatedDataset, out_dir, jobs: Optional[int] = None)
     try:
         tree = holder / out_dir.name
         tree.mkdir()  # the mode mkdir gives, where mkdtemp's is private
-        with open(tree / "manifest.json", "w") as fh:
-            json.dump(dataset.params, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        (tree / "manifest.json").write_text(
+            json.dumps(dataset.params, indent=2, sort_keys=True, allow_nan=False) + "\n")
         tasks = []
         for record in dataset.graphs:
             graph_dir = tree / record.graph_id

@@ -337,9 +337,11 @@ def write_config(path, payload):
     ("evaluate", ["--k=0"], "--k"),
     ("analyze", {"top": -1}, "--top"),              # was printed under "(top -1)"
     ("analyze", ["--top=-1"], "--top"),
-    ("analyze", {"threshold": float("nan")}, "--threshold"),  # turned adjustment off
+    # Strict JSON has no NaN or inf (a config holding one is refused whole), so
+    # the config rows spell the value as a string, which is passed on as the flag.
+    ("analyze", {"threshold": "nan"}, "--threshold"),  # turned adjustment off
     ("analyze", ["--threshold=nan"], "--threshold"),
-    ("evaluate", {"threshold": float("inf")}, "--threshold"),
+    ("evaluate", {"threshold": "inf"}, "--threshold"),
     ("evaluate", ["--threshold=-inf"], "--threshold"),
     ("evaluate", {"jobs": -3}, "--jobs"),           # ran serially
     ("evaluate", ["--jobs=-3"], "--jobs"),
@@ -352,9 +354,9 @@ def write_config(path, payload):
     ("simulate", ["--seed=-1"], "--seed"),
     ("simulate", {"poisson_rate": -1}, "--poisson-rate"),
     ("simulate", ["--poisson-rate=-1"], "--poisson-rate"),
-    ("simulate", {"poisson_rate": float("nan")}, "--poisson-rate"),
+    ("simulate", {"poisson_rate": "nan"}, "--poisson-rate"),
     ("simulate", ["--poisson-rate=nan"], "--poisson-rate"),
-    ("simulate", {"poisson_rate": float("inf")}, "--poisson-rate"),
+    ("simulate", {"poisson_rate": "inf"}, "--poisson-rate"),
     ("simulate", ["--poisson-rate=inf"], "--poisson-rate"),
     ("simulate", {"poisson_rate": 1e19}, "--poisson-rate"),  # was numpy's message, exit 1
     ("simulate", ["--poisson-rate=1e19"], "--poisson-rate"),
@@ -763,6 +765,13 @@ def edit_fields(draw, fields: dict) -> dict:
     return fields
 
 
+def strict_json_loads(text: str):
+    """``json.loads`` with NaN, Infinity and -Infinity refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 @st.composite
 def near_datasets(draw):
     """The files of a one-case dataset: case.json and manifest.json with
@@ -809,6 +818,8 @@ def near_datasets(draw):
 @example(files=(meta_with(root_causes=['b,"c"']), GOOD_CSV.replace(",b", ',"b,""c"""'), "{}")
          ).via("name that needs quoting")
 @example(files=(GOOD_META_ROOTS, GOOD_CSV.replace("1.0", '"1.0"'), "{}")).via("quoted number")
+@example(files=(GOOD_META_ROOTS, GOOD_CSV, '{"seed": NaN}')).via("NaN in the manifest")
+@example(files=(GOOD_META_ROOTS, GOOD_CSV, '{"n_node": 1e400}')).via("overflow in the manifest")
 def test_fuzzed_case_and_manifest_load_as_written_or_are_an_error_line(files):
     meta, data, manifest = files
     with tempfile.TemporaryDirectory() as tmp:
@@ -833,6 +844,8 @@ def test_fuzzed_case_and_manifest_load_as_written_or_are_an_error_line(files):
             lines = err.getvalue().splitlines()
             assert code in (0, 1) and "Traceback" not in err.getvalue()
             assert sum(line.startswith("error: ") for line in lines) == (code == 1)
+            if code == 0 and argv[0] == "evaluate":
+                strict_json_loads((tmp / "out.json").read_text())
 
 
 def test_evaluate_malformed_dataset_graph_is_an_error(tmp_path, capsys):
@@ -869,7 +882,8 @@ def test_evaluate_pooled_load_error_reaches_the_cli(tmp_path, capsys):
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
-@pytest.mark.parametrize("text", [DEEP_JSON, "[1]", "{"], ids=["deep", "not-an-object", "not-json"])
+@pytest.mark.parametrize("text", [DEEP_JSON, "[1]", "{", '{"seed": NaN}', '{"seed": 1e400}'],
+                         ids=["deep", "not-an-object", "not-json", "nan", "overflow"])
 @pytest.mark.parametrize("bad, command", [
     ("ds/g0/graph.json", "analyze"),
     ("ds/g0/c0/case.json", "analyze"),

@@ -365,6 +365,32 @@ def test_save_dataset_pooled_bytes_match_serial(tmp_path):
     assert read_tree_bytes(tmp_path / "pooled") == serial
 
 
+@pytest.mark.parametrize("n_tasks, jobs, pools", [
+    (2, 6, [2]), (3, 2, [2]), (1, 6, []), (0, 6, []), (2, 1, []), (2, None, []),
+])
+def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch, n_tasks, jobs, pools):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    tasks = [-t for t in range(1, n_tasks + 1)]
+    assert simulation._pool_map(abs, tasks, jobs) == list(range(1, n_tasks + 1))
+    assert started == pools
+
+
 def test_load_dataset_reads_graph_json_with_weights(tmp_path):
     ds = generate_dataset(8, 15, n_graphs=1, cases_per_graph=2, rng_seed=4)
     save_dataset(ds, tmp_path / "ds")
