@@ -19,7 +19,6 @@ from .errors import (
     NoEffectiveFault,
     OutputNotEmpty,
     RcakitError,
-    ResultNotDag,
     UnknownMetaMetric,
     WindowOutOfRange,
 )

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations, product
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import CyclicCallGraph, MalformedInput, ResultNotDag, UnknownMetaMetric
+from .errors import CyclicCallGraph, MalformedInput, UnknownMetaMetric
 from .model import CausalGraph, MetricId
 
 #: The deepest collection nesting an arch.yaml may have.  libyaml's
@@ -89,18 +90,6 @@ class ArchitectureSpec:
         object.__setattr__(self, "metric_map", normalized)
 
 
-#: Intra-service causal directions: traffic drives everything, saturation
-#: drives latency and errors, latency drives errors.
-_WITHIN_SERVICE_EDGES = (
-    (MetaMetricDim.TRAFFIC, MetaMetricDim.SATURATION),
-    (MetaMetricDim.TRAFFIC, MetaMetricDim.LATENCY),
-    (MetaMetricDim.TRAFFIC, MetaMetricDim.ERRORS),
-    (MetaMetricDim.SATURATION, MetaMetricDim.LATENCY),
-    (MetaMetricDim.SATURATION, MetaMetricDim.ERRORS),
-    (MetaMetricDim.LATENCY, MetaMetricDim.ERRORS),
-)
-
-
 def _call_graph(services: Mapping[str, Sequence[str]]) -> CausalGraph:
     """The call graph, caller to callee, over the declared services and
     their callees; a callee declared nowhere is a leaf service."""
@@ -123,8 +112,10 @@ def build_skeleton(services: Mapping[str, Sequence[str]]) -> CausalGraph:
     calls = _call_graph(services)
     T, L, E = MetaMetricDim.TRAFFIC, MetaMetricDim.LATENCY, MetaMetricDim.ERRORS
     nodes = {MetaMetric(name, dim) for name in calls.nodes for dim in MetaMetricDim}
+    # Each dimension drives the ones declared after it: traffic drives
+    # everything, saturation drives latency and errors, latency drives errors.
     edges = {(MetaMetric(name, src), MetaMetric(name, dst))
-             for name in calls.nodes for src, dst in _WITHIN_SERVICE_EDGES}
+             for src, dst in combinations(MetaMetricDim, 2) for name in calls.nodes}
     for caller, callee in calls.edges:
         # The caller's traffic drives the callee's traffic; every callee
         # dimension stands in for the caller's saturation, feeding the
@@ -133,60 +124,43 @@ def build_skeleton(services: Mapping[str, Sequence[str]]) -> CausalGraph:
         for dim in MetaMetricDim:
             edges.add((MetaMetric(callee, dim), MetaMetric(caller, L)))
             edges.add((MetaMetric(callee, dim), MetaMetric(caller, E)))
-    try:
-        return CausalGraph(nodes, edges)
-    except ValueError as exc:
-        raise ResultNotDag(f"skeleton: {exc}") from exc
+    return CausalGraph(nodes, edges)
 
 
 def build_structural_graph(spec: ArchitectureSpec) -> CausalGraph:
     """Plug monitoring metrics into the skeleton to get the metric DAG."""
     skeleton = build_skeleton(spec.services)
-    hosts: dict[MetricId, frozenset[MetaMetric]] = dict(spec.metric_map)
-    for metric, metas in hosts.items():
-        for meta in metas:
-            if meta not in skeleton.nodes:
-                raise UnknownMetaMetric(f"metric {metric!r} maps to unknown {meta}")
-
     # Invert the operator-facing mapping: meta metric -> its monitoring metrics.
     assigned: dict[MetaMetric, set[MetricId]] = {v: set() for v in skeleton.nodes}
-    for metric, metas in hosts.items():
+    for metric, metas in spec.metric_map.items():
         for meta in metas:
+            if meta not in assigned:
+                raise UnknownMetaMetric(f"metric {metric!r} maps to unknown {meta}")
             assigned[meta].add(metric)
 
     order = skeleton.topological_order()
-    order_index = {meta: i for i, meta in enumerate(order)}
-    last_host = {
-        metric: max(metas, key=order_index.__getitem__)
-        for metric, metas in hosts.items()
-        if len(metas) > 1
-    }
+    multi = {metric for metric, metas in spec.metric_map.items() if len(metas) > 1}
+    last_host = {metric: meta for meta in order for metric in assigned[meta] & multi}
 
+    # Let pos(m) be the position in ``order`` of the meta metric m attaches
+    # at: its only one, or its last.  By induction over ``order``, current[v]
+    # holds only metrics with pos <= pos(v), so every edge runs from a
+    # smaller pos to a larger one, or, at one meta metric, from a
+    # multi-dimension metric attached there to a single-dimension one: no
+    # edge closes a cycle or joins a metric to itself.
     edges: set[tuple[MetricId, MetricId]] = set()
     current: dict[MetaMetric, set[MetricId]] = {}
-
-    def add_edges(sources: Iterable[MetricId], targets: Iterable[MetricId]) -> None:
-        for tgt in targets:
-            for src in sources:
-                if src != tgt:
-                    edges.add((src, tgt))
-
     for meta in order:
-        incoming: set[MetricId] = set()
-        for parent in skeleton.parents(meta):
-            incoming |= current[parent]
-        own = set(assigned[meta])
-        for metric in sorted(assigned[meta]):
-            if metric in last_host:
-                own.discard(metric)  # a multi-dimension metric cannot feed itself
-                if last_host[metric] == meta:
-                    # Attach the metric below its other dimensions and let it
-                    # stand in for them toward this dimension's metrics.
-                    for other in hosts[metric]:
-                        if other != meta:
-                            add_edges(current[other], [metric])
-                    incoming.add(metric)
-        add_edges(incoming, own)
+        incoming = set().union(*map(current.__getitem__, skeleton.parents(meta)))
+        own = assigned[meta] - multi
+        for metric in assigned[meta] & multi:
+            if last_host[metric] == meta:
+                # Attach the metric below its other dimensions and let it
+                # stand in for them toward this dimension's metrics.
+                for other in spec.metric_map[metric] - {meta}:
+                    edges.update((src, metric) for src in current[other])
+                incoming.add(metric)
+        edges.update(product(incoming, own))
         if meta.dim is MetaMetricDim.ERRORS:
             # Error metrics propagate to downstream consumers unvalidated,
             # so parents' error metrics ride along with this dimension's own.
@@ -195,10 +169,7 @@ def build_structural_graph(spec: ArchitectureSpec) -> CausalGraph:
                     own |= current[parent]
         current[meta] = own if own else incoming
 
-    try:
-        return CausalGraph(nodes=hosts.keys(), edges=edges)
-    except ValueError as exc:
-        raise ResultNotDag(str(exc)) from exc
+    return CausalGraph(nodes=spec.metric_map.keys(), edges=edges)
 
 
 def _as_list(value, where: str) -> list:

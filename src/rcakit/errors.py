@@ -21,10 +21,6 @@ class UnknownMetaMetric(RcakitError):
     """A metric maps to a (service, dimension) pair absent from the skeleton."""
 
 
-class ResultNotDag(RcakitError):
-    """Internal assertion: graph construction produced a cycle."""
-
-
 class InsufficientData(RcakitError):
     """Too few rows to fit a regression model."""
 

@@ -1,5 +1,9 @@
 """Shared builders for the test suite."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -40,6 +44,19 @@ def chain_case(X, detect_time=120):
     """A Case over a simulated (T, 3) matrix of the chain DAG, SLI m0."""
     return Case(metrics=("m0", "m1", "m2"), values=X, start_time=0,
                 detect_time=detect_time, sli="m0")
+
+
+@pytest.fixture
+def archgen(monkeypatch):
+    """``bench/archgen.py``, the triage workload's input generator, as a
+    module.  It is read, never written: no bytecode lands under ``bench/``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "archgen.py"
+    spec = importlib.util.spec_from_file_location("archgen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "archgen", module)  # dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from rcakit.archgraph import (
 )
 from rcakit.errors import CyclicCallGraph, MalformedInput, UnknownMetaMetric
 
+import compiler_reference
 from conftest import lexicographic_networkx_order
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -535,12 +536,26 @@ def test_call_graph_and_compiler_match_networkx(services, data):
         for i in range(data.draw(st.integers(0, 15), label="metrics")):
             metric_map[f"m{i}"] = frozenset(data.draw(
                 st.lists(st.sampled_from(metas), min_size=1, max_size=3), label=f"m{i}"))
-    graph = build_structural_graph(ArchitectureSpec(services, metric_map))
+    spec = ArchitectureSpec(services, metric_map)
+    graph = build_structural_graph(spec)
+    assert graph == compiler_reference.build_structural_graph(spec)
     compiled = nx.DiGraph(list(graph.edges))
     compiled.add_nodes_from(graph.nodes)
     assert set(compiled.nodes) == set(metric_map)
     assert nx.is_directed_acyclic_graph(compiled)
     assert graph.topological_order() == lexicographic_networkx_order(graph)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_archgen_architectures_compile_as_the_reference(tmp_path, archgen, seed):
+    # The triage workload's twelve architectures of a seed: 30 services,
+    # two-dimension metrics and error metrics, loaded from their YAML.
+    for index in range(archgen.N_ARCHITECTURES):
+        path = tmp_path / f"arch{index}.yaml"
+        path.write_text(yaml.safe_dump(archgen.architecture(seed, index), sort_keys=False))
+        spec = load_architecture(path)
+        assert any(len(metas) > 1 for metas in spec.metric_map.values())
+        assert build_structural_graph(spec) == compiler_reference.build_structural_graph(spec)
 
 
 @pytest.mark.parametrize("text, where", [

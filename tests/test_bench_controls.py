@@ -8,7 +8,6 @@ process rather than under ``testpaths``.
 
 import ast
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -51,15 +50,10 @@ def test_every_traced_function_exists():
 
 
 
-def test_archgen_writes_cases_that_load(tmp_path, monkeypatch):
+def test_archgen_writes_cases_that_load(tmp_path, archgen):
     # write_cases builds each triage case through TimeSeries and
     # Case(series=...); only a refused bench run would show a break there,
     # so this runs it on one architecture.  bench/ is read, never written.
-    spec = importlib.util.spec_from_file_location("archgen", ROOT / "bench" / "archgen.py")
-    archgen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "archgen", archgen)  # dataclasses look it up
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec.loader.exec_module(archgen)
     arch = tmp_path / "arch.yaml"
     arch.write_text(yaml.safe_dump(archgen.architecture(1, 0), sort_keys=False))
     save_graph(build_structural_graph(load_architecture(arch)), tmp_path / "graph.json")
