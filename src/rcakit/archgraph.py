@@ -239,7 +239,7 @@ def load_architecture(path) -> ArchitectureSpec:
         text = Path(path).read_text(encoding="utf-8")
         _check_nesting(text, path, loader)
         payload = yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"{path}: not valid YAML ({exc})") from exc
     except RecursionError:
         # The pure-Python composer recurses in Python and gives out first.

@@ -53,6 +53,12 @@ class GroupFit(NamedTuple):
     deviation: np.ndarray  # (k, m) new value minus prediction, per new row
 
 
+def require_reference_rows(n: int) -> None:
+    """InsufficientData for a reference window of fewer than 2 rows."""
+    if n < 2:
+        raise InsufficientData(f"need at least 2 reference rows, got {n}")
+
+
 def centre(ref, new) -> Centred:
     """Centre a (n, C) reference block and (m, C) new rows on the
     reference column means."""
@@ -60,8 +66,7 @@ def centre(ref, new) -> Centred:
     new = np.asarray(new, dtype=float)
     if ref.ndim != 2 or new.ndim != 2 or ref.shape[1] != new.shape[1]:
         raise DimensionMismatch(f"reference {ref.shape} and new rows {new.shape} differ in columns")
-    if len(ref) < 2:
-        raise InsufficientData(f"need at least 2 reference rows, got {len(ref)}")
+    require_reference_rows(len(ref))
     # One contiguous row per column: pairwise-summed means, as for a single
     # series, so the centred designs equal a per-node fit's bit for bit.
     rows = np.ascontiguousarray(np.concatenate([ref, new]).T)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import MissingSeries, RcakitError
 from .model import (Case, CausalGraph, GroundTruth, MetricId, Ranking, json_block, json_float,
                     window_index_ranges)
-from .regression import centre, fit_stacks, sigma_floor
+from .regression import centre, fit_stacks, require_reference_rows, sigma_floor
 
 #: Scores at or above this many sigmas count as abnormal (the three-sigma
 #: rule of thumb).  Configurable wherever it is consumed.
@@ -117,6 +117,7 @@ def rht_score(
 def nsigma_score(case: Case) -> dict[MetricId, float]:
     """Score each metric by its largest test z-score against the reference."""
     ref_idx, test_idx = window_index_ranges(case)
+    require_reference_rows(len(ref_idx))
     # One contiguous row per metric reduces pairwise like a single series,
     # so the scores equal a per-metric loop's bit for bit.
     ref = np.ascontiguousarray(case.values[ref_idx.start:ref_idx.stop].T)

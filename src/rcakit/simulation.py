@@ -13,6 +13,7 @@ each root propagates into the SLI.
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -366,16 +367,18 @@ def generate_case(dag: WeightedDag, rng_seed,
 
 def _pool_map(fn: Callable, tasks: Sequence, jobs: Optional[int]) -> list:
     """``[fn(t) for t in tasks]``, on ``min(jobs, len(tasks))`` worker processes when
-    that is above 1.  The first task to fail, in task order, raises here; the pool
-    shuts down either way.  It starts by the platform's default method (fork on Linux,
-    all workers at once) and is imported here: a serial command never loads multiprocessing."""
+    that is above 1, in chunks of up to 8 tasks and at most a quarter of a worker's share
+    (rounded up), so that no worker idles in a small pool.  The first task to fail, in
+    task order, raises here; the pool shuts down either way.  It starts by the platform's
+    default method (fork on Linux, all workers at once) and is imported here: a serial
+    command never loads multiprocessing."""
     if (workers := min(jobs or 1, len(tasks))) <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(fn, tasks, chunksize=8))
+        return list(pool.map(fn, tasks, chunksize=min(8, math.ceil(len(tasks) / (4 * workers)))))
     finally:
         pool.shutdown(cancel_futures=True)
 

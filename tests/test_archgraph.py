@@ -580,6 +580,20 @@ def test_bad_names_are_malformed_and_name_the_file(tmp_path, capsys, loader, tex
     assert not (tmp_path / "graph.json").exists()
 
 
+def test_undecodable_architecture_is_malformed_and_names_the_file(tmp_path, capsys, loader):
+    from rcakit.cli import main
+
+    path = tmp_path / "arch.yaml"
+    path.write_bytes(b"services:\n  - name: w\xffeb\n")
+    with pytest.raises(MalformedInput) as err:
+        load_architecture(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert main(["graph", str(path), "--out", str(tmp_path / "graph.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert not (tmp_path / "graph.json").exists()
+
+
 def test_plain_scalars_name_what_they_spell(tmp_path, loader):
     # YAML 1.1 would read these as True, 8, 80 and 31; a name is the text.
     path = tmp_path / "arch.yaml"

@@ -73,8 +73,18 @@ def test_simulate_pooled_is_byte_identical_to_serial(tmp_path):
     assert read_tree_bytes(tmp_path / "pooled") == serial
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_in_process_commands_leave_file_descriptor_1_alone(tmp_path, capfd, jobs):
+SMALL_STUDY = ["--nodes", "10", "--edges", "20", "--graphs", "2", "--cases", "4"]
+
+
+@pytest.mark.parametrize("jobs, shape, scorers", [
+    pytest.param("1", SMALL_STUDY, "circa,rht-pg", id="1"),
+    pytest.param("2", SMALL_STUDY, "circa,rht-pg", id="2"),
+    # study-n500's shape: its 500-node solves and fits take LAPACK paths
+    # that the small graphs never reach.
+    pytest.param("1", ["--nodes", "500", "--edges", "5000", "--graphs", "1", "--cases", "2"],
+                 "rht-pg,rht,circa,nsigma,dfs,ideal", id="n500"),
+])
+def test_in_process_commands_leave_file_descriptor_1_alone(tmp_path, capfd, jobs, shape, scorers):
     # A caller that runs main() in its own process and hides its output with
     # redirect_stdout, as the benchmark does, must see nothing on fd 1: a
     # write there (from a forked worker, or a handler bound before the
@@ -82,11 +92,11 @@ def test_in_process_commands_leave_file_descriptor_1_alone(tmp_path, capfd, jobs
     data, arch = tmp_path / "ds", tmp_path / "arch.yaml"
     arch.write_text(WEB_DB_YAML)
     runs = [
-        ["simulate", "--nodes", "10", "--edges", "20", "--graphs", "2", "--cases", "4",
-         "--seed", "5", "--jobs", jobs, "--out", data],
-        ["analyze", data / "g0" / "c0", "--graph", data / "g0" / "graph.json",
-         "--out", tmp_path / "scores.json"],
-        ["evaluate", data, "--scorers", "circa,rht-pg", "--jobs", jobs,
+        ["simulate", *shape, "--seed", "5", "--jobs", jobs, "--out", data],
+        *(["analyze", data / "g0" / "c0", "--graph", data / "g0" / "graph.json",
+           "--scorer", scorer, "--out", tmp_path / f"{scorer}.json"]
+          for scorer in ("circa", "rht-pg")),
+        ["evaluate", data, "--scorers", scorers, "--jobs", jobs,
          "--out", tmp_path / "report.json"],
         ["graph", arch, "--out", tmp_path / "graph.json"],
     ]
@@ -931,3 +941,75 @@ def test_stdout_is_only_the_result_with_a_worker_pool(tmp_path):
                                                         "dfs", "ideal"]
     assert lines[-2:] == ["note: dfs is a baseline reimplemented from a prose description\n",
                           "wrote report.json\n"]
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_inputs(tmp_path_factory):
+    """A two-case dataset, so evaluate starts at most two workers, and an
+    architecture file."""
+    root = tmp_path_factory.mktemp("config-fuzz")
+    assert main(["simulate", "--nodes", "10", "--edges", "20", "--graphs", "1", "--cases", "2",
+                 "--seed", "5", "--jobs", "1", "--out", str(root / "ds")]) == 0
+    (root / "arch.yaml").write_text(WEB_DB_YAML)
+    return root
+
+
+def config_keys(command):
+    """Every dest of ``command``'s parser, options and positionals, with
+    ``help`` and ``config`` among them, and one key that is none of them."""
+    (subparsers,) = build_parser()._subparsers._group_actions
+    return sorted({action.dest for action in subparsers.choices[command]._actions} | {"nope"})
+
+
+#: Config values: every JSON type, with integers kept small (a --k of a
+#: million alone takes seconds and gigabytes) and strings short, over an
+#: alphabet without "/" so that every path lands in the working directory.
+CONFIG_STRINGS = st.text("ab0.-, e", max_size=4) | st.sampled_from(["nsigma", "rht", "zz"])
+CONFIG_SCALARS = (st.none() | st.booleans() | st.integers(-1000, 1000)
+                  | st.floats(allow_nan=False, allow_infinity=False) | CONFIG_STRINGS)
+CONFIG_VALUES = (CONFIG_SCALARS | st.lists(CONFIG_STRINGS, max_size=3)
+                 | st.lists(st.lists(CONFIG_SCALARS, max_size=2), max_size=2)
+                 | st.dictionaries(st.text("ab", max_size=2), CONFIG_SCALARS, max_size=2))
+
+
+@st.composite
+def fuzzed_configs(draw):
+    command = draw(st.sampled_from(["analyze", "evaluate", "graph"]))
+    keys = draw(st.lists(st.sampled_from(config_keys(command)), min_size=1, max_size=3,
+                         unique=True))
+    return command, {key: draw(CONFIG_VALUES) for key in keys}
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=fuzzed_configs(), with_graph=st.booleans())
+@example(drawn=("analyze", {"scorer": "nsigma", "top": 2}), with_graph=False)
+@example(drawn=("analyze", {"graph": "a"}), with_graph=False)
+@example(drawn=("evaluate", {"scorers": ["nsigma", "rht"], "k": 3}), with_graph=False)
+@example(drawn=("graph", {"out": "b"}), with_graph=False)
+def test_fuzzed_config_is_a_result_an_error_line_or_a_usage_error(config_fuzz_inputs, drawn,
+                                                                  with_graph):
+    command, config = drawn
+    inputs = config_fuzz_inputs
+    argv = {"analyze": [str(inputs / "ds" / "g0" / "c0")], "evaluate": [str(inputs / "ds")],
+            "graph": [str(inputs / "arch.yaml")]}[command]
+    if command == "analyze" and with_graph:
+        argv += ["--graph", str(inputs / "ds" / "g0" / "graph.json")]
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            # a graph at "a", so that a config's "graph" can name a real one
+            Path("a").write_bytes((inputs / "ds" / "g0" / "graph.json").read_bytes())
+            write_config(Path("config.json"), config)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([command, *argv, "--config", "config.json"])
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert sum(line.startswith("error: ") for line in lines) == (code == 1)

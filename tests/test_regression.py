@@ -5,7 +5,7 @@ from scipy import stats
 from rcakit.errors import DimensionMismatch, InsufficientData
 from rcakit.model import CausalGraph, window_index_ranges
 from rcakit.regression import COEF_LIMIT, centre, fit_stacks, sigma_floor
-from rcakit.scoring import rht_score
+from rcakit.scoring import nsigma_score, rht_score, run_scorer
 from rcakit.simulation import case_record, generate_dataset
 
 from conftest import make_case
@@ -248,6 +248,13 @@ def test_insufficient_reference_rows():
     with pytest.raises(InsufficientData):
         rht_score(window_case(t_ref=6, t_test=5), graph, use_lagged_self=True)
     rht_score(window_case(t_ref=7, t_test=5), graph, use_lagged_self=True)
+    # the z-score detectors need two rows as well: a one-row std is 0
+    with pytest.raises(InsufficientData, match="need at least 2 reference rows, got 1"):
+        nsigma_score(window_case(t_ref=5, t_test=5))
+    nsigma_score(window_case(t_ref=6, t_test=5))
+    with pytest.raises(InsufficientData, match="need at least 2 reference rows, got 1"):
+        run_scorer("dfs", window_case(t_ref=5, t_test=5), graph)
+    run_scorer("dfs", window_case(t_ref=6, t_test=5), graph)
 
 
 @pytest.mark.parametrize("lagged", [False, True])

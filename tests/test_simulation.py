@@ -366,7 +366,8 @@ def test_save_dataset_pooled_bytes_match_serial(tmp_path):
 
 
 @pytest.mark.parametrize("n_tasks, jobs, pools", [
-    (2, 6, [2]), (3, 2, [2]), (1, 6, []), (0, 6, []), (2, 1, []), (2, None, []),
+    (2, 6, [(2, 1)]), (3, 2, [(2, 1)]), (1, 6, []), (0, 6, []), (2, 1, []), (2, None, []),
+    (9, 2, [(2, 2)]), (100, 2, [(2, 8)]),
 ])
 def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch, n_tasks, jobs, pools):
     import concurrent.futures
@@ -374,12 +375,13 @@ def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch, n_tasks, jobs, 
     started = []
 
     class RecordingPool:
-        """Records its worker count and maps in this process."""
+        """Records its worker count and chunk size and maps in this process."""
 
         def __init__(self, max_workers):
-            started.append(max_workers)
+            self.workers = max_workers
 
         def map(self, fn, tasks, chunksize=1):
+            started.append((self.workers, chunksize))
             return map(fn, tasks)
 
         def shutdown(self, cancel_futures=False):
@@ -388,7 +390,7 @@ def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch, n_tasks, jobs, 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     tasks = [-t for t in range(1, n_tasks + 1)]
     assert simulation._pool_map(abs, tasks, jobs) == list(range(1, n_tasks + 1))
-    assert started == pools
+    assert started == pools  # (workers, chunk size) of each pool
 
 
 def test_load_dataset_reads_graph_json_with_weights(tmp_path):
