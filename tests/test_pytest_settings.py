@@ -30,8 +30,8 @@ def test_failing_hypothesis_test_is_reported_and_the_run_goes_on(tmp_path):
     # import warns of a deprecation in a third-party module; an error filter
     # that caught it would end the run with INTERNALERROR (exit 3) before
     # the next test and lose the falsifying example.
-    settings = tomllib.loads((ROOT / "pyproject.toml").read_text())["tool"]["pytest"]
-    filters = settings["ini_options"]["filterwarnings"]
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    filters = pyproject["tool"]["pytest"]["ini_options"]["filterwarnings"]
     (tmp_path / "pyproject.toml").write_text(
         f"[tool.pytest.ini_options]\nfilterwarnings = {json.dumps(filters)}\n")
     (tmp_path / "test_two.py").write_text(TWO_TESTS)
