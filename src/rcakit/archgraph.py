@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import CyclicCallGraph, MalformedInput, UnknownMetaMetric
 from .model import CausalGraph, MetricId
@@ -35,9 +35,9 @@ MAX_NESTING = 5_000
 
 def _loader():
     """The safe loader ``load_architecture`` parses with: libyaml's when
-    PyYAML is built with it, else the pure-Python one (the same
-    constructor and resolver, so the same result).  yaml is imported here,
-    so that only commands that read an architecture pay for it."""
+    PyYAML is built with it, else the pure-Python one (the same composer,
+    so the same nodes).  yaml is imported here, so that only commands that
+    read an architecture pay for it."""
     import yaml
 
     return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -52,9 +52,9 @@ class MetaMetricDim(str, Enum):
     ERRORS = "errors"
 
 
-@dataclass(frozen=True, order=True)
-class MetaMetric:
-    """A (service, dimension) node of the skeleton."""
+class MetaMetric(NamedTuple):
+    """A (service, dimension) node of the skeleton: a tuple, so that it
+    hashes, compares and sorts as (service, dim) in C."""
 
     service: str
     dim: MetaMetricDim
@@ -65,29 +65,24 @@ class MetaMetric:
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Call graph plus the metric -> meta-metric mapping.
-
-    ``services`` maps each declared service to the services it calls, in
-    declaration order.  The metric mapping is stored in the direction
-    operators label metrics (metric to the dimensions it measures); the
-    compiler inverts it.
-    """
+    """Call graph plus the metric -> meta-metric mapping.  ``services``
+    maps each declared service to the services it calls, in declaration
+    order.  The metric mapping is stored in the direction operators label
+    metrics (metric to the dimensions it measures); the compiler inverts it."""
 
     services: Mapping[str, tuple[str, ...]]
     metric_map: Mapping[MetricId, frozenset[MetaMetric]]
 
     def __post_init__(self):
         services = {name: tuple(callees) for name, callees in dict(self.services).items()}
-        object.__setattr__(self, "services", services)
-        normalized = {}
-        for metric, metas in dict(self.metric_map).items():
-            metas = frozenset(metas)
+        metric_map = {metric: frozenset(metas) for metric, metas in dict(self.metric_map).items()}
+        for metric, metas in metric_map.items():
             if not metric:
                 raise ValueError("metric name must be non-empty")
             if not metas:
                 raise ValueError(f"metric {metric!r} maps to no meta metric")
-            normalized[metric] = metas
-        object.__setattr__(self, "metric_map", normalized)
+        object.__setattr__(self, "services", services)
+        object.__setattr__(self, "metric_map", metric_map)
 
 
 def _call_graph(services: Mapping[str, Sequence[str]]) -> CausalGraph:
@@ -104,11 +99,7 @@ def _call_graph(services: Mapping[str, Sequence[str]]) -> CausalGraph:
 
 def build_skeleton(services: Mapping[str, Sequence[str]]) -> CausalGraph:
     """Expand a service call graph into the meta-metric skeleton: a DAG
-    over ``MetaMetric`` nodes.
-
-    Callees that appear only on the right-hand side of a call are treated
-    as leaf services.
-    """
+    over ``MetaMetric`` nodes, where a callee declared nowhere is a leaf."""
     calls = _call_graph(services)
     T, L, E = MetaMetricDim.TRAFFIC, MetaMetricDim.LATENCY, MetaMetricDim.ERRORS
     nodes = {MetaMetric(name, dim) for name in calls.nodes for dim in MetaMetricDim}
@@ -172,6 +163,53 @@ def build_structural_graph(spec: ArchitectureSpec) -> CausalGraph:
     return CausalGraph(nodes=spec.metric_map.keys(), edges=edges)
 
 
+#: The tag each kind of node may carry; a ``<<`` key is tagged merge.
+_TAG = "tag:yaml.org,2002:"
+_STR, _NULL, _SEQ, _MAP, _MERGE = (_TAG + name for name in ("str", "null", "seq", "map", "merge"))
+_KIND = {_STR: "scalar", _NULL: "scalar", _SEQ: "sequence", _MAP: "mapping"}
+_IMPLICIT = {"": _NULL, "~": _NULL, "null": _NULL, "Null": _NULL, "NULL": _NULL, "<<": _MERGE}
+
+
+def _malformed(path, mark, problem: str) -> MalformedInput:
+    return MalformedInput(f"{path}: line {mark.line + 1}, column {mark.column + 1}: {problem}")
+
+
+def _plain(node, path, memo: dict):
+    """The str, None, list or dict SafeConstructor makes of a node, memoised
+    before its items are walked: an alias gives the same object, and a
+    recursive or doubling one is walked once.  A mapping takes merged pairs
+    first, the first source of a list winning, then its own, which win and
+    may not repeat: flatten_mapping's order."""
+    if _KIND.get(node.tag) != node.id:  # ``!!float 1e3`` is not the name ``1000.0``
+        raise _malformed(path, node.start_mark, f"tag {node.tag.replace(_TAG, '!!')} on a {node.id}")
+    if node.id == "scalar":
+        return None if node.tag == _NULL else node.value
+    if node in memo:
+        return memo[node]
+    if node.id == "sequence":
+        memo[node] = value = []
+        value += [_plain(item, path, memo) for item in node.value]
+        return value
+    memo[node] = value = {}
+    memo[node, _MERGE] = own = {}  # open until its pairs are walked: none of them may merge it
+    for key_node, item in node.value:
+        if key_node.tag == _MERGE:
+            for source in item.value[::-1] if item.id == "sequence" and item.tag == _SEQ else [item]:
+                if source.id != "mapping" or (source, _MERGE) in memo:
+                    raise _malformed(path, source.start_mark,
+                                     f"a << merge takes mappings outside it, not this {source.id}")
+                value |= _plain(source, path, memo)
+        elif key_node.id != "scalar":
+            raise _malformed(path, key_node.start_mark, f"a key must be a scalar, not a {key_node.id}")
+        elif (key := _plain(key_node, path, memo)) in own:
+            raise _malformed(path, key_node.start_mark, f"key {key!r} repeats")
+        else:
+            own[key] = item
+    value |= {key: _plain(item, path, memo) for key, item in own.items()}
+    del memo[node, _MERGE]
+    return value
+
+
 def _as_list(value, where: str) -> list:
     """A YAML sequence, or an empty one when absent; a scalar or mapping
     is rejected rather than iterated (``callees: db`` is not ``[d, b]``)."""
@@ -191,13 +229,10 @@ def _nesting_bound(text: str) -> int:
 def _check_nesting(text: str, path, loader) -> None:
     """MalformedInput when ``text`` nests deeper than MAX_NESTING.  Only a
     text whose cheap bound exceeds the limit is scanned, and the scan of
-    parser events stops at the first level past it.
-
-    Only libyaml's composer needs the guard: the pure-Python one recurses
-    in Python and stops with a RecursionError.  Both scanners take time
-    quadratic in the depth of nested flow collections, so the pure-Python
-    one is not asked for a scan it does not need.
-    """
+    parser events stops at the first level past it.  Only libyaml's
+    composer needs the guard: the pure-Python one recurses in Python and
+    stops with a RecursionError.  Both scanners take time quadratic in the
+    depth of nested flow collections, so that one is not scanned."""
     import yaml
 
     if issubclass(loader, yaml.composer.Composer) or _nesting_bound(text) <= MAX_NESTING:
@@ -223,26 +258,30 @@ def _name(value, where: str) -> str:
 
 
 def load_architecture(path) -> ArchitectureSpec:
-    """Parse an arch.yaml file into an ArchitectureSpec.
-
-    Raises MalformedInput for a file that does not describe one, including
-    one nested deeper than MAX_NESTING.
-    """
+    """Parse an arch.yaml file into an ArchitectureSpec; MalformedInput, in
+    one line, for a file that does not describe one."""
     import yaml
 
-    base = _loader()
-    # Only nulls and merge keys resolve: ``010``, ``true`` and ``1:20`` stay text.
-    loader = type("Loader", (base,), {"yaml_implicit_resolvers": {
-        first: [(tag, regexp) for tag, regexp in resolvers if tag.endswith((":null", ":merge"))]
-        for first, resolvers in base.yaml_implicit_resolvers.items()}})
+    # Only a plain null or ``<<`` resolves: ``010``, ``true`` and ``1:20`` stay text.
+    loader = type("Loader", (_loader(),), {"resolve": lambda _, kind, value, implicit: (
+        (implicit[0] and _IMPLICIT.get(value) or _STR) if kind.id == "scalar"
+        else _SEQ if kind.id == "sequence" else _MAP)})
     try:
         text = Path(path).read_text(encoding="utf-8")
         _check_nesting(text, path, loader)
-        payload = yaml.load(text, Loader=loader)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        node = loader(text).get_single_node()
+        payload = None if node is None else _plain(node, path, {})
+    except yaml.MarkedYAMLError as exc:
+        problem = ", ".join(filter(None, (exc.context, exc.problem)))
+        raise _malformed(path, exc.problem_mark, f"not valid YAML ({problem})") from None
+    except yaml.reader.ReaderError as exc:  # libyaml counts its position in bytes
+        before = (text[:text.find(chr(exc.character))] + ".").splitlines()
+        raise MalformedInput(f"{path}: line {len(before)}, column {len(before[-1])}: not valid "
+                             f"YAML (unacceptable character #x{exc.character:04x})") from None
+    except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not valid YAML ({exc})") from exc
     except RecursionError:
-        # The pure-Python composer recurses in Python and gives out first.
+        # The pure-Python composer and the walk recurse in Python.
         raise MalformedInput(f"{path}: nested too deeply to parse") from None
     if not isinstance(payload, dict):
         raise MalformedInput(f"{path}: expected a mapping with 'services' and 'metrics'")
@@ -269,10 +308,9 @@ def load_architecture(path) -> ArchitectureSpec:
             where = f"{path}: metrics[{i}].maps_to[{j}]"
             try:
                 dim = MetaMetricDim(_name(target["dim"], where).lower())
-                metas.add(MetaMetric(service=_name(target["service"], where), dim=dim))
+                metas.add(MetaMetric(_name(target["service"], where), dim))
             except (KeyError, TypeError, ValueError):
-                raise MalformedInput(
-                    f"{where} needs service and dim in {{traffic, saturation, latency, errors}}"
-                ) from None
+                raise MalformedInput(f"{where} needs service and dim in "
+                                     "{traffic, saturation, latency, errors}") from None
         metric_map[name] = frozenset(metas)
     return ArchitectureSpec(services=services, metric_map=metric_map)

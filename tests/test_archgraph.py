@@ -271,14 +271,18 @@ def test_load_architecture_rejects_bad_dim(tmp_path):
         load_architecture(path)
 
 
-@pytest.mark.parametrize("text", [
+#: Files that are YAML but not an architecture, or not YAML at all.
+MALFORMED_YAML = [
     "services:\n  - name: web\n    callees: db\n",
     "services: [{name: web}]\nmetrics:\n  - name: x\n    maps_to: {service: web, dim: traffic}\n",
     "services: [{name: web}]\nmetrics:\n  - name: x\n    maps_to: web\n",
     "services: {name: web}\n",
     "services: [{name: web]\n",
     "services: [{name: web\x01}]\n",
-])
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_YAML)
 def test_load_architecture_rejects_malformed_yaml(tmp_path, text):
     path = tmp_path / "arch.yaml"
     path.write_text(text)
@@ -712,3 +716,248 @@ def test_fuzzed_names_are_the_text_written_or_an_error_line(drawn, flow):
     found = [*spec.services, *(c for callees in spec.services.values() for c in callees),
              *spec.metric_map, *(m.service for metas in spec.metric_map.values() for m in metas)]
     assert all(isinstance(name, str) and name for name in found)
+
+
+def graph_errors(tmp_path, text):
+    """The exit code and stderr lines of an in-process ``rcakit graph`` on
+    an arch.yaml holding ``text``, and the file's path."""
+    from rcakit.cli import main
+
+    path = tmp_path / "arch.yaml"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["graph", str(path), "--out", str(tmp_path / "graph.json")])
+    assert not (tmp_path / "graph.json").exists() or code == 0
+    return code, err.getvalue().splitlines(), path
+
+
+@pytest.mark.parametrize("text, where", [
+    ("services: [{name: web}]\nmetrics: [{name: !!float 1e3, maps_to: [{service: web, dim: traffic}]}]\n",
+     "line 2, column 18: tag !!float on a scalar"),
+    ("services: [{name: !!binary aGk=}]\n", "line 1, column 19: tag !!binary on a scalar"),
+    ("services: [{name: !!int 0x1F}]\n", "line 1, column 19: tag !!int on a scalar"),
+    ("services: [{name: !!bool yes}]\n", "line 1, column 19: tag !!bool on a scalar"),
+    ("services:\n  - !!set {a: null}\n", "line 2, column 5: tag !!set on a mapping"),
+    ("services: [{name: !foo m}]\n", "line 1, column 19: tag !foo on a scalar"),
+    ("services: !!omap [{name: web}]\n", "line 1, column 11: tag !!omap on a sequence"),
+    ("base: &web !!set {service: null}\nservices: [{name: web}]\n"
+     "metrics: [{name: m, maps_to: [{<<: *web, dim: traffic}]}]\n",
+     "line 1, column 7: tag !!set on a mapping"),
+], ids=["float", "binary", "int", "bool", "set", "local", "omap", "merged-set"])
+def test_explicit_tags_are_an_error_line(tmp_path, loader, text, where):
+    # A name is the text written: ``!!float 1e3`` is not the metric "1000.0".
+    code, lines, path = graph_errors(tmp_path, text)
+    assert (code, lines) == (1, [f"error: {path}: {where}"])
+
+
+@pytest.mark.parametrize("text, where", [
+    ("services: [{name: web}]\nmetrics: [{name: m, maps_to: [{service: web, dim: traffic}]}]\n"
+     "metrics: []\n", "line 3, column 1: key 'metrics' repeats"),
+    ("services: [{name: web, name: db}]\n", "line 1, column 24: key 'name' repeats"),
+    ("services: [{name: web}]\n"
+     "metrics: [{name: m, maps_to: [{service: web, dim: traffic, dim: errors}]}]\n",
+     "line 2, column 60: key 'dim' repeats"),
+    ("services: [{name: web, 'name': db}]\n", "line 1, column 24: key 'name' repeats"),
+    ("services: [{name: web}]\n~: a\nnull: b\n", "line 3, column 1: key None repeats"),
+    ("services: [{name: web}]\n[a]: b\n", "line 2, column 1: a key must be a scalar, not a sequence"),
+], ids=["metrics", "name", "dim", "quoted", "null", "sequence-key"])
+def test_repeated_keys_are_an_error_line(tmp_path, loader, text, where):
+    # The last of two values was kept silently: a second `metrics:` emptied
+    # the graph and `{name: web, name: db}` declared the service db.
+    code, lines, path = graph_errors(tmp_path, text)
+    assert (code, lines) == (1, [f"error: {path}: {where}"])
+
+
+def test_merged_keys_give_way_to_own_keys(tmp_path, loader):
+    path = tmp_path / "arch.yaml"
+    path.write_text(
+        "base: &web {service: web, dim: traffic}\n"
+        "two: &db {service: db, dim: errors}\n"
+        "services: [{name: web, callees: [db]}, {name: db}]\n"
+        "metrics:\n"
+        "  - {name: a, maps_to: [{<<: *web, dim: latency}]}\n"
+        "  - {name: b, maps_to: [{<<: [*db, *web]}]}\n"
+        "  - {name: c, maps_to: [{<<: *db, <<: *web}]}\n"
+        "  - {name: d, maps_to: [{dim: saturation, <<: [*web, *db]}]}\n"
+    )
+    assert load_architecture(path).metric_map == {
+        "a": {mm("web", L)}, "b": {mm("db", E)}, "c": {mm("web", T)}, "d": {mm("web", S)}}
+
+
+@pytest.mark.parametrize("text", MALFORMED_YAML + [
+    "x: {<<: [1, 2]}\nservices: [{name: web}]\n",
+    "services: [{name: !foo m}]\n",
+    "a: &a {<<: *a}\nservices: [{name: web}]\n",
+    "services: [*nope]\n",
+    "services: [{name: web}]\n--- {}\n",
+    "services:\n\t- name: web\n",
+    "a: &x 1\nb: &x 2\nservices: [{name: web}]\n",
+], ids=[*map(str, range(len(MALFORMED_YAML))), "merge-scalars", "unknown-tag", "merge-cycle",
+        "undefined-alias", "two-documents", "tab", "duplicate-anchor"])
+def test_every_arch_error_is_one_line_naming_the_file(tmp_path, loader, text):
+    # At 6,000 levels the C composer is stopped before it recurses, and at
+    # 600 the walk's RecursionError is caught: see the nesting tests.
+    code, lines, path = graph_errors(tmp_path, text)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+    assert "<unicode string>" not in lines[0]
+
+
+def test_yaml_errors_name_line_and_column(tmp_path, loader):
+    _, lines, path = graph_errors(tmp_path, "services:\n  - name: w\x01eb\n")
+    assert lines == [f"error: {path}: line 2, column 12: not valid YAML "
+                     "(unacceptable character #x0001)"]
+    _, lines, path = graph_errors(tmp_path, "services: [{name: web}]\nmetrics: [*m]\n")
+    assert lines[0].startswith(f"error: {path}: line 2, column 11: not valid YAML (found undefined")
+
+
+def test_recursive_alias_is_the_error_it_was(tmp_path, loader):
+    # `&a [*a]` is a list holding itself: an entry with no name.
+    path = tmp_path / "arch.yaml"
+    path.write_text("services: &a [*a]\n")
+    with pytest.raises(MalformedInput) as err:
+        load_architecture(path)
+    assert str(err.value) == f"{path}: services[0] needs a 'name'"
+
+
+def built_loader(base, tmp_path):
+    """The loader class load_architecture derives from ``base``."""
+    made = []
+
+    class Recording(base):
+        def __init__(self, stream):
+            made.append(type(self))
+            super().__init__(stream)
+
+    path = tmp_path / "built.yaml"
+    path.write_text("services: []\n")
+    assert isinstance(load_with(Recording, path), ArchitectureSpec)
+    return made[-1]
+
+
+def walk(loader, text):
+    """load_architecture's walk of ``text`` with the loader it builds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        built = built_loader(loader, Path(tmp))
+    return archgraph._plain(yaml.compose(text, Loader=built), "arch.yaml", {})
+
+
+def test_doubling_alias_chain_is_walked_once(tmp_path, loader):
+    # Each level holds the one below twice: 2**40 leaves if spelled out.
+    chain = "".join(f"a{i}: &a{i} [*a{i - 1}, *a{i - 1}]\n" for i in range(1, 41))
+    text = f"a0: &a0 [x]\n{chain}services: [{{name: web}}]\n"
+    path = tmp_path / "arch.yaml"
+    path.write_text(text)
+    assert load_architecture(path).services == {"web": ()}
+    value = walk(loader, text)
+    assert value["a1"][0] is value["a1"][1] is value["a0"]
+    assert value["a40"][0] is value["a40"][1] is value["a39"]
+
+
+def test_doubling_merge_chain_is_merged_once(tmp_path, loader):
+    # Each level merges the one below twice.  SafeConstructor's
+    # flatten_mapping copies the pairs of every source, 2**40 of them here.
+    merges = "".join(f"m{i}: &m{i} {{<<: [*m{i - 1}, *m{i - 1}], k{i}: v}}\n" for i in range(1, 41))
+    text = f"m0: &m0 {{k0: v}}\n{merges}services: [{{name: web}}]\n"
+    path = tmp_path / "arch.yaml"
+    path.write_text(text)
+    assert load_architecture(path).services == {"web": ()}
+    assert walk(loader, text)["m40"] == {f"k{i}": "v" for i in range(41)}
+
+
+def filtered(base):
+    """``base`` with only the null and merge implicit resolvers, the way
+    the architecture loader was built before it resolved tags itself."""
+    return type("Filtered", (base,), {"yaml_implicit_resolvers": {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag.endswith((":null", ":merge"))]
+        for first, resolvers in base.yaml_implicit_resolvers.items()}})
+
+
+PlainDumper = filtered(yaml.SafeDumper)
+STR, NULL, MERGE = (f"tag:yaml.org,2002:{name}" for name in ("str", "null", "merge"))
+TEXTS = st.sampled_from(["web", "db", "010", "true", "1:20", "0x1F", "", "a b", "x: y", "- z",
+                         "#c", "é", "<<", "~", "null", "'q'", "[l]"])
+
+
+@st.composite
+def node_documents(draw, max_nodes=12):
+    """A YAML document drawn as a node graph and serialised: plain, single-
+    and double-quoted strings, nulls, sequences and mappings in flow and
+    block style, nodes shared (so anchored and aliased, also inside other
+    shared nodes), and ``<<`` merges of one mapping or a list of them.
+    Every mapping's own keys differ, no tag is written, and a node only
+    holds nodes drawn before it, so nothing holds itself."""
+    built, mappings = [], []
+
+    def scalar():
+        if draw(st.booleans()):
+            return yaml.ScalarNode(NULL, draw(st.sampled_from(["", "~", "null", "Null", "NULL"])))
+        return yaml.ScalarNode(STR, draw(TEXTS), style=draw(st.sampled_from([None, "'", '"'])))
+
+    def child():
+        if built and draw(st.integers(0, 2)) == 0:
+            return draw(st.sampled_from(built))
+        return scalar()
+
+    for _ in range(draw(st.integers(1, max_nodes))):
+        flow = draw(st.sampled_from([None, True, False]))
+        if draw(st.booleans()):
+            node = yaml.SequenceNode("tag:yaml.org,2002:seq",
+                                     [child() for _ in range(draw(st.integers(0, 3)))], flow_style=flow)
+        else:
+            pairs = []
+            if mappings and draw(st.booleans()):
+                sources = draw(st.lists(st.sampled_from(mappings), min_size=1, max_size=3))
+                merged = (sources[0] if len(sources) == 1 and draw(st.booleans())
+                          else yaml.SequenceNode("tag:yaml.org,2002:seq", sources,
+                                                 flow_style=draw(st.booleans())))
+                pairs.append((yaml.ScalarNode(MERGE, "<<"), merged))
+            keys = draw(st.lists(TEXTS | st.none(), unique=True, max_size=3))
+            pairs += [(yaml.ScalarNode(NULL, "~") if key is None else yaml.ScalarNode(STR, key),
+                       child()) for key in keys]
+            node = yaml.MappingNode("tag:yaml.org,2002:map", draw(st.permutations(pairs)),
+                                    flow_style=flow)
+            mappings.append(node)
+        built.append(node)
+    if draw(st.booleans()):  # every node, so those held by others are anchored
+        built.append(yaml.SequenceNode("tag:yaml.org,2002:seq", built[:], flow_style=flow))
+    return yaml.serialize(built[-1], Dumper=PlainDumper)
+
+
+def shape(value, seen=None):
+    """``value`` with each list or dict met again replaced by the order in
+    which it was first met, so that equal shapes share alike."""
+    seen = {} if seen is None else seen
+    if not isinstance(value, (list, dict)):
+        return value
+    if id(value) in seen:
+        return ("seen", seen[id(value)])
+    seen[id(value)] = len(seen)
+    if isinstance(value, list):
+        return ["list", *(shape(item, seen) for item in value)]
+    return ["dict", *((key, shape(item, seen)) for key, item in value.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=node_documents())
+@example(text="a: &a {k: 1, j: 2}\nb: &b {k: 3, m: 4}\nc: {<<: [*a, *b], j: 5}\nd: {<<: *a, <<: *b}\n")
+@example(text="- &a [x, &s y]\n- *a\n- {<<: {k: *a}, *s : z}\n- !!str 010\n- ! true\n")
+def test_walk_matches_safe_constructor(text):
+    # The oracle is PyYAML's own SafeConstructor with the resolvers the
+    # walk replaced: same values, same key order, the same objects shared.
+    for loader in LOADERS:
+        expected = yaml.load(text, Loader=filtered(loader))
+        value = walk(loader, text)
+        assert value == expected
+        assert shape(value) == shape(expected)
+
+
+def test_meta_metrics_sort_as_service_then_dimension():
+    metas = [MetaMetric(service, dim) for service in ("web", "db", "a", "web2", "Web")
+             for dim in MetaMetricDim]
+    np.random.default_rng(3).shuffle(metas)
+    assert sorted(metas) == sorted(metas, key=lambda meta: (meta.service, meta.dim.value))
+    assert str(MetaMetric("web", T)) == "web.traffic"
+    assert repr(mm("db", E)) == "MetaMetric(service='db', dim=<MetaMetricDim.ERRORS: 'errors'>)"
+    assert MetaMetric("web", T) == mm("web", T) and hash(MetaMetric("web", T)) == hash(mm("web", T))
