@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import heapq
-import io
 import json
 import math
 from dataclasses import InitVar, dataclass, field
@@ -383,16 +382,20 @@ class CaseRecord:
 
 def save_case(directory, case: Case, truth: Optional[GroundTruth] = None,
               fault_type: Optional[str] = None) -> None:
-    """Write a case directory: data.csv plus case.json."""
+    """Write a case directory: data.csv plus case.json.  data.csv is written
+    a row at a time; anything raised before it is complete removes it."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # Only the header needs csv's quoting; the body joins repr()s directly.
-    header = io.StringIO()
-    csv.writer(header).writerow(["timestamp", *case.metrics])
-    start, interval = case.start_time, case.interval
-    body = "".join(f"{start + i * interval},{','.join(map(repr, row))}\r\n"
-                   for i, row in enumerate(case.values.tolist()))
-    (directory / "data.csv").write_text(header.getvalue() + body, encoding="utf-8", newline="")
+    start, interval, data = case.start_time, case.interval, directory / "data.csv"
+    try:
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            # Only the header needs csv's quoting; the body joins repr()s directly.
+            csv.writer(fh).writerow(["timestamp", *case.metrics])
+            for i, row in enumerate(case.values):
+                fh.write(f"{start + i * interval},{','.join(map(repr, row.tolist()))}\r\n")
+    except BaseException:
+        data.unlink(missing_ok=True)
+        raise
     meta = {
         "detect_time": case.detect_time,
         "t_ref": case.t_ref,

@@ -122,9 +122,15 @@ class WeightedDag:
 
 
 def propagation_matrix(dag: WeightedDag) -> np.ndarray:
-    """W = (I - A)^-1; W[i, j] is how much node i moves per unit of node j."""
-    eye = np.eye(dag.n)
-    return np.linalg.solve(eye - dag.A, eye)
+    """W = (I - A)^-1; W[i, j] is how much node i moves per unit of node j.
+    Row by row, W = I + A W along ``graph.order``, parents first; einsum keeps
+    the sums off BLAS, so the bits do not depend on its thread count."""
+    A, graph, W = dag.A, dag.graph, np.eye(dag.n)
+    ptr, ids = graph.parent_ptr.tolist(), graph.parent_ids
+    for j in graph.order:
+        p = ids[ptr[j]:ptr[j + 1]]
+        W[j] += np.einsum("i,ij->j", A[j, p], W[p])
+    return W
 
 
 def generate_dag(n_node: int, n_edge: int, rng_seed) -> WeightedDag:

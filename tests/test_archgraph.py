@@ -812,6 +812,19 @@ def test_yaml_errors_name_line_and_column(tmp_path, loader):
     assert lines[0].startswith(f"error: {path}: line 2, column 11: not valid YAML (found undefined")
 
 
+def test_loaders_differ_on_a_tab_in_a_flow_collection(tmp_path, loader):
+    # The one difference between the loaders that README states: libyaml
+    # reads a tab inside [ ] as white space, the pure-Python scanner refuses it.
+    code, lines, path = graph_errors(tmp_path, "services: [{name: web}]\n\nmetrics: [\t]\n")
+    if loader is yaml.SafeLoader:
+        assert (code, lines) == (1, [f"error: {path}: line 3, column 11: not valid YAML (while "
+                                     "scanning for the next token, found character '\\t' that "
+                                     "cannot start any token)"])
+    else:
+        assert (code, lines) == (0, ["warning: architecture maps no metrics; graph is empty"])
+        assert load_architecture(path) == ArchitectureSpec(services={"web": ()}, metric_map={})
+
+
 def test_recursive_alias_is_the_error_it_was(tmp_path, loader):
     # `&a [*a]` is a list holding itself: an entry with no name.
     path = tmp_path / "arch.yaml"

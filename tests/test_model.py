@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rcakit import model
 from rcakit.errors import MalformedInput, WindowOutOfRange
 from rcakit.model import (
     Case,
@@ -196,6 +197,48 @@ def test_case_roundtrip_unlabeled(tmp_path):
     assert loaded.case == case
     assert loaded.truth is None
     assert loaded.fault_type is None
+
+
+@pytest.mark.parametrize("failure", [MemoryError, KeyboardInterrupt])
+def test_save_case_that_fails_leaves_no_partial_file(tmp_path, monkeypatch, failure):
+    # data.csv's third write (its header, then a row a write) raises: the
+    # error comes through, and neither file is left.  A retry writes what a
+    # call never interrupted writes.
+    case = make_case({"a": np.arange(126.0), "b": np.linspace(-1, 1, 126)}, detect_time=500)
+    truth = GroundTruth(frozenset({"b"}))
+    save_case(tmp_path / "clean", case, truth, "Weak")
+    real_open, seen = open, []
+
+    class ThirdWriteFails:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                seen.append(Path(self.fh.name).exists())
+                raise failure()
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    def patched_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return ThirdWriteFails(fh) if Path(file).name == "data.csv" else fh
+
+    monkeypatch.setattr(model, "open", patched_open, raising=False)
+    with pytest.raises(failure):
+        save_case(tmp_path / "c", case, truth, "Weak")
+    assert seen == [True]  # the partial file was there when the write failed
+    assert list((tmp_path / "c").iterdir()) == []
+    monkeypatch.undo()
+    save_case(tmp_path / "c", case, truth, "Weak")
+    for name in ("data.csv", "case.json"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
 def test_load_rejects_missing_values(tmp_path):

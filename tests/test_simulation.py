@@ -1,6 +1,12 @@
+import hashlib
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +38,8 @@ from conftest import (
     propagation_reference,
     read_tree_bytes,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def undirected_connected(A):
@@ -180,6 +188,82 @@ def test_propagation_matrix_solved_once_per_graph(tmp_path, monkeypatch):
             for name in SCORER_NAMES:
                 run_scorer(name, record.case, g.graph, record.truth)
     assert calls == []
+
+
+def relabelled(dag, perm):
+    """``dag`` with node i renamed ``perm[i]``."""
+    A, sigma = np.zeros_like(dag.A), np.empty_like(dag.sigma)
+    A[np.ix_(perm, perm)] = dag.A
+    sigma[perm] = dag.sigma
+    return WeightedDag(A=A, sigma=sigma, beta=dag.beta)
+
+
+def test_propagation_matrix_in_any_node_order():
+    # W's rows are filled along graph.order, not by index: in a relabelled
+    # dag a cause may have a lower index than its effect, and W is the
+    # original's relabelled.
+    drawn_perm = np.concatenate([[0], 1 + np.random.default_rng(5).permutation(59)])
+    for dag, perm in ((generate_dag(60, 150, rng_seed=4), drawn_perm),
+                      (chain_dag(), np.array([0, 2, 1]))):  # m2 -> m1 -> m0 as m1 -> m2 -> m0
+        moved = relabelled(dag, perm)
+        effects, causes = np.nonzero(moved.A)
+        assert (causes < effects).any()
+        M = np.eye(moved.n) - moved.A
+        assert inverse_residual(M, moved.W, gamma(int(np.count_nonzero(M, axis=1).max())))[0]
+        expected = np.empty_like(dag.W)
+        expected[np.ix_(perm, perm)] = dag.W
+        assert np.abs(moved.W - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert moved.graph.sorted_edges() == [("m1", "m2"), ("m2", "m0")]
+
+
+def test_simulate_tree_does_not_depend_on_blas_threads(tmp_path):
+    # Subprocesses, so that each BLAS starts with its own thread count.
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "rcakit.cli", "simulate", "--nodes", "500", "--edges", "5000",
+             "--graphs", "2", "--cases", "2", "--seed", "801", "--jobs", "1", "--out", threads],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        tree = hashlib.sha256()
+        for name, data in read_tree_bytes(tmp_path / threads).items():
+            tree.update(name.encode() + b"\0" + data)
+        digests.append(tree.hexdigest())
+    assert digests[0] == digests[1]
+
+
+@pytest.fixture(scope="module")
+def case500():
+    """A 500-node dag and one 126 x 500 case drawn on it."""
+    dag = generate_dag(500, 5000, rng_seed=3)
+    return dag, generate_case(dag, rng_seed=3)[0]
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most bytes tracemalloc saw allocated during it.
+
+    tracemalloc sees numpy's arrays but not OpenBLAS's own buffers (about
+    12 MB in a 500-node LU solve), so these guards bound what Python and
+    numpy hold; the process's peak RSS is measured by the benchmark."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_propagation_matrix_holds_little_beside_w(case500):
+    W, peak = traced_peak(simulation.propagation_matrix, case500[0])
+    assert peak <= 1.5 * W.nbytes
+
+
+def test_save_case_holds_little_of_its_file(tmp_path, case500):
+    _, peak = traced_peak(simulation.save_case, tmp_path / "c", case500[1])
+    assert case500[1].values.shape == (126, 500)
+    assert peak <= 0.5 * (tmp_path / "c" / "data.csv").stat().st_size
 
 
 def test_apply_noise_shift_superposition():
