@@ -66,6 +66,6 @@ from .simulation import (
     load_dataset,
     save_dataset,
 )
-from .evaluation import EvalReport, ac_at_k, evaluate, format_table
+from .evaluation import EvalReport, evaluate, format_table, recall_curve
 
 __version__ = "0.1.0"

@@ -16,28 +16,16 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyCaseSet
-from .model import GroundTruth, Ranking
 from .scoring import ABNORMAL_THRESHOLD, score_case
 from .simulation import SimulatedDataset, _pool_map, case_id, case_record
 
 DEFAULT_K = 5
 
 
-def case_recall_at_k(ranking: Ranking, truth: GroundTruth, k: int) -> float:
-    """|roots among the top k| / |roots| for one case."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    top = {metric for metric, _ in ranking[:k]}
-    return len(truth.root_causes & top) / len(truth.root_causes)
-
-
-def ac_at_k(rankings: Sequence[Ranking], truths: Sequence[GroundTruth], k: int) -> float:
-    """Mean top-k recall over an aligned set of cases."""
-    if len(rankings) != len(truths):
-        raise ValueError("rankings and truths must align one to one")
-    if not rankings:
-        raise EmptyCaseSet("cannot evaluate zero cases")
-    return float(np.mean([case_recall_at_k(r, t, k) for r, t in zip(rankings, truths)]))
+def recall_curve(ranks: Sequence[int], n_roots: int, k: int) -> np.ndarray:
+    """A case's top-j recall for j = 1..k: the share of its ``n_roots`` roots
+    ranked j or better, from the 1-based ``ranks`` the ranking gives them."""
+    return (np.asarray(ranks)[:, None] <= np.arange(1, k + 1)).sum(0) / n_roots
 
 
 @dataclass(frozen=True)
@@ -74,17 +62,19 @@ class EvalReport:
 
 def _score_case(task) -> tuple:
     """One pool task: read or draw one case, apply the window overrides
-    and run every method on it.  Returns ``(case_id, truth, fault_type,
-    outcomes)``, an outcome being ``(top k_max of the ranking, seconds,
-    error)`` per method, in order.  A case that cannot be read or
-    overridden raises; a method that fails on it is an outcome."""
-    entry, graph, methods, threshold, k_max, windows = task
+    and run every method on it.  Returns ``(case_id, number of roots,
+    fault_type, outcomes)``, an outcome being ``(the ascending 1-based ranks
+    of the roots the ranking holds, seconds, error)`` per method, in order.
+    A case that cannot be read or overridden raises; a method that fails on
+    it is an outcome."""
+    entry, graph, methods, threshold, windows = task
     record = case_record(entry)
     case = replace(record.case, **windows) if windows else record.case
-    outcomes = [(None, 0.0, f"{type(outcome).__name__}: {outcome}")
-                if isinstance(outcome, Exception) else (outcome[1][:k_max], seconds, None)
+    roots = record.truth.root_causes
+    outcomes = [(None, 0.0, f"{type(outcome).__name__}: {outcome}") if isinstance(outcome, Exception)
+                else ([r for r, (metric, _) in enumerate(outcome[1], 1) if metric in roots], seconds, None)
                 for outcome, seconds in score_case(case, graph, record.truth, methods, threshold)]
-    return record.case_id, record.truth, record.fault_type, outcomes
+    return record.case_id, len(roots), record.fault_type, outcomes
 
 
 def evaluate(
@@ -112,33 +102,39 @@ def evaluate(
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     if not dataset.graphs:
         raise EmptyCaseSet("dataset has no graphs")
-    ks = range(1, k_max + 1)
+    if not dataset.n_cases():
+        raise EmptyCaseSet("dataset has no cases")
     # canonical order, so aggregation is invariant to case order
     cases = sorted(((g, c) for g in dataset.graphs for c in g.cases),
                    key=lambda gc: (gc[0].graph_id, case_id(gc[1])))
     scored = _pool_map(
         _score_case,
-        [(c, g.graph, tuple(methods), threshold, k_max, windows) for g, c in cases],
+        [(c, g.graph, tuple(methods), threshold, windows) for g, c in cases],
         jobs,
     )
     results: dict[str, MethodResult] = {}
     for m, method in enumerate(methods):
+        # Recall is constant past a case's deepest found root: rows stop there
+        # and each mean repeats its last value to k_max.  Two columns at least:
+        # numpy sums one column pairwise, but more row by row, as k_max ones.
+        depth = min(k_max, max([2] + [o[m][0][-1] for *_, o in scored if o[m][0]]))
+        extend = np.minimum(np.arange(k_max), depth - 1)
         per_graph_recalls: dict[str, list[np.ndarray]] = {g.graph_id: [] for g in dataset.graphs}
         per_type: dict[str, list[np.ndarray]] = {}
         times: list[float] = []
         failures: list[tuple[str, str, str]] = []
-        for (graph, _), (cid, truth, fault_type, outcomes) in zip(cases, scored):
-            ranking, elapsed, error = outcomes[m]
+        for (graph, _), (cid, n_roots, fault_type, outcomes) in zip(cases, scored):
+            ranks, elapsed, error = outcomes[m]
             if error is not None:
                 failures.append((graph.graph_id, cid, error))
                 continue
-            recalls = np.array([case_recall_at_k(ranking, truth, k) for k in ks])
+            recalls = recall_curve(ranks, n_roots, depth)
             per_graph_recalls[graph.graph_id].append(recalls)
             if fault_type:
                 per_type.setdefault(fault_type, []).append(recalls)
             times.append(elapsed)
 
-        graph_ac = {gid: tuple(map(float, np.mean(rows, axis=0))) if rows else None
+        graph_ac = {gid: tuple(map(float, np.mean(rows, axis=0)[extend])) if rows else None
                     for gid, rows in per_graph_recalls.items()}
         stacked = np.array([v for v in graph_ac.values() if v is not None])
         if stacked.size == 0:
@@ -154,7 +150,7 @@ def evaluate(
             by_fault_type={
                 ft: {
                     "n": len(rows),
-                    "ac": [float(v) for v in np.mean(rows, axis=0)],
+                    "ac": [float(v) for v in np.mean(rows, axis=0)[extend]],
                 }
                 for ft, rows in sorted(per_type.items())
             },

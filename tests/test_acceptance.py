@@ -17,7 +17,7 @@ import pytest
 
 from rcakit.archgraph import build_structural_graph
 from rcakit.cli import main
-from rcakit.evaluation import ac_at_k, evaluate
+from rcakit.evaluation import evaluate, recall_curve
 from rcakit.model import CausalGraph, GroundTruth
 from rcakit.scoring import descendant_adjust, rank, rht_score
 from rcakit.simulation import (
@@ -267,7 +267,8 @@ def test_criterion_11_ac_monotone_and_avg_identity():
         truth = GroundTruth(frozenset(
             rng.choice(metrics, size=int(rng.integers(1, 5)), replace=False)
         ))
-        values = [ac_at_k([ranking], [truth], k) for k in range(1, len(metrics) + 1)]
+        ranks = [r for r, (m, _) in enumerate(ranking, 1) if m in truth.root_causes]
+        values = recall_curve(ranks, len(truth.root_causes), len(metrics)).tolist()
         monotone = all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         full = values[-1] == 1.0
         avg5 = float(np.mean(values[:5]))

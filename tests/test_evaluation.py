@@ -4,11 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcakit import evaluation, scoring
 from rcakit.errors import EmptyCaseSet
-from rcakit.evaluation import ac_at_k, case_recall_at_k, evaluate, format_table, save_report
-from rcakit.model import GroundTruth
+from rcakit.evaluation import evaluate, format_table, recall_curve, save_report
+from rcakit.model import CaseRecord, GroundTruth
 from rcakit.scoring import (
     SCORER_NAMES,
     ScoreTable,
@@ -28,46 +30,74 @@ def gt(*metrics):
     return GroundTruth(frozenset(metrics))
 
 
+def ranks_of(ranking, truth):
+    """The 1-based ranks of ``truth``'s roots in ``ranking``, as ``evaluate`` takes them."""
+    return [r for r, (metric, _) in enumerate(ranking, 1) if metric in truth.root_causes]
+
+
 def test_ac_at_k_single_case_top1():
     ranking = [("a", 3.0), ("b", 2.0)]
-    assert ac_at_k([ranking], [gt("a")], 1) == 1.0
+    assert recall_curve(ranks_of(ranking, gt("a")), 1, 1).tolist() == [1.0]
 
 
 def test_ac_at_k_partial_recall():
     ranking = [("a", 3.0), ("b", 2.0), ("c", 1.0)]
     truth = gt("a", "b")
-    assert ac_at_k([ranking], [truth], 1) == 0.5
-    assert ac_at_k([ranking], [truth], 2) == 1.0
+    assert recall_curve(ranks_of(ranking, truth), 2, 2).tolist() == [0.5, 1.0]
 
 
 def test_ac_at_k_mean_over_cases():
     r1 = [("a", 2.0), ("b", 1.0)]
     r2 = [("b", 2.0), ("a", 1.0)]
-    assert ac_at_k([r1, r2], [gt("a"), gt("a")], 1) == 0.5
+    curves = [recall_curve(ranks_of(r, gt("a")), 1, 1) for r in (r1, r2)]
+    assert np.mean(curves, axis=0).tolist() == [0.5]
 
 
 def test_ac_at_k_short_ranking_is_whole_ranking():
-    assert case_recall_at_k([("a", 1.0)], gt("a", "b"), 5) == 0.5
+    assert recall_curve(ranks_of([("a", 1.0)], gt("a", "b")), 2, 5).tolist() == [0.5] * 5
 
 
-def test_ac_at_k_empty_case_set():
-    with pytest.raises(EmptyCaseSet):
-        ac_at_k([], [], 1)
+def test_ac_at_k_empty_case_set(tiny_dataset, monkeypatch):
+    def fail(*args):
+        raise AssertionError("scored a case")
+
+    monkeypatch.setattr(evaluation, "score_case", fail)
+    no_cases = replace(tiny_dataset, graphs=tuple(replace(g, cases=()) for g in tiny_dataset.graphs))
+    with pytest.raises(EmptyCaseSet, match="dataset has no cases"):
+        evaluate(no_cases, ["nsigma"])
 
 
 def test_ac_monotone_and_avg_identity():
     rng = np.random.default_rng(0)
     metrics = [f"m{i}" for i in range(12)]
-    rankings, truths = [], []
+    curves = []
     for _ in range(100):
         order = rng.permutation(metrics)
-        rankings.append([(m, float(len(metrics) - i)) for i, m in enumerate(order)])
-        truths.append(gt(*rng.choice(metrics, size=rng.integers(1, 4), replace=False)))
-    values = [ac_at_k(rankings, truths, k) for k in range(1, 13)]
+        ranking = [(m, float(len(metrics) - i)) for i, m in enumerate(order)]
+        truth = gt(*rng.choice(metrics, size=rng.integers(1, 4), replace=False))
+        curves.append(recall_curve(ranks_of(ranking, truth), len(truth.root_causes), 12))
+    values = np.mean(curves, axis=0).tolist()
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] == 1.0  # full coverage at k = |V|
     avg = float(np.mean(values[:5]))
     assert avg == pytest.approx(sum(values[:5]) / 5)
+
+
+UNIVERSE = [f"m{i}" for i in range(12)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking=st.permutations(UNIVERSE).flatmap(
+           lambda order: st.integers(0, len(order)).map(lambda n: order[:n])),
+       roots=st.sets(st.sampled_from(UNIVERSE), min_size=1),
+       k=st.integers(1, len(UNIVERSE) + 5))
+@example(ranking=[], roots={"m0"}, k=3)
+@example(ranking=UNIVERSE, roots=set(UNIVERSE), k=len(UNIVERSE) + 5)
+def test_recall_curve_is_a_top_k_count(ranking, roots, k):
+    # short rankings, roots the ranking lacks, and k past the ranking's end
+    ranks = [r for r, metric in enumerate(ranking, 1) if metric in roots]
+    brute = [len(roots & set(ranking[:j])) / len(roots) for j in range(1, k + 1)]
+    assert recall_curve(ranks, len(roots), k).tolist() == brute
 
 
 @pytest.fixture(scope="module")
@@ -342,3 +372,72 @@ def test_graph_whose_cases_all_fail_reports_null(tmp_path):
     assert rht["per_graph"]["g1"] is None
     assert rht["ac_mean"] == rht["per_graph"]["g0"]
     assert rht["ac_std"] == [0.0] * 5
+
+
+def extended(payload, k_max):
+    """A ``without_times`` report with every AC@k list repeated from its last
+    value up to ``k_max``, and Avg@k taken over the longer curve."""
+    def longer(values):
+        return tuple(values) + (values[-1],) * (k_max - len(values))
+
+    out = dict(payload, k_max=k_max, methods={})
+    for name, res in payload["methods"].items():
+        ac_mean = longer(res["ac_mean"])
+        out["methods"][name] = dict(
+            res, ac_mean=ac_mean, ac_std=longer(res["ac_std"]),
+            avg_at_k=float(np.mean(ac_mean)),
+            per_graph={g: None if v is None else longer(v) for g, v in res["per_graph"].items()},
+            by_fault_type={ft: dict(entry, ac=list(longer(entry["ac"])))
+                           for ft, entry in res["by_fault_type"].items()})
+    return out
+
+
+def test_k_past_the_metric_count_repeats_the_last_value(tiny_dataset):
+    methods = list(SCORER_NAMES)
+    ten = without_times(evaluate(tiny_dataset, methods, k_max=10))
+    big = without_times(evaluate(tiny_dataset, methods, k_max=10_000))
+    assert big == extended(ten, 10_000)
+
+
+def test_recall_rows_stop_at_the_deepest_found_root(tiny_dataset, monkeypatch):
+    """Rows are as long as the deepest root rank a method found, however
+    large k_max is; two columns at least, when k_max allows."""
+    methods = ["ideal", "nsigma"]
+    deepest = dict.fromkeys(methods, 0)
+    for g in tiny_dataset.graphs:
+        for entry in g.cases:
+            record = case_record(entry)
+            outcomes = score_case(record.case, g.graph, record.truth, methods)
+            for method, ((_, ranking), _) in zip(methods, outcomes):
+                ranks = [r for r, (m, _) in enumerate(ranking, 1) if m in record.truth.root_causes]
+                deepest[method] = max(deepest[method], *ranks)
+    assert deepest["ideal"] < deepest["nsigma"] <= 10
+    lengths = []
+
+    def spy(ranks, n_roots, k):
+        lengths.append(k)
+        return recall_curve(ranks, n_roots, k)
+
+    monkeypatch.setattr(evaluation, "recall_curve", spy)
+    for k_max in (1, 3, 10_000):
+        lengths.clear()
+        evaluate(tiny_dataset, methods, k_max=k_max)
+        n = tiny_dataset.n_cases()
+        assert lengths == [min(k_max, max(2, deepest[m])) for m in methods for _ in range(n)]
+
+
+def test_found_roots_all_at_rank_one_average_as_k_max_columns(tiny_dataset, monkeypatch):
+    """40 cases of one to five roots, r0 the only one ever found, at rank
+    one: each AC@k is still the mean of k_max-long rows, summed row by row."""
+    rng = np.random.default_rng(3)
+    case = case_record(tiny_dataset.graphs[0].cases[0]).case
+    records = tuple(CaseRecord(f"c{i:02d}", case,
+                               gt(*(f"{'rs'[rng.integers(2)]}{j}" for j in range(rng.integers(1, 6)))))
+                    for i in range(40))
+    monkeypatch.setattr(evaluation, "score_case", lambda case, graph, truth, methods, threshold:
+                        [((None, [("r0", 1.0), ("y", 0.0)]), 0.0) for _ in methods])
+    dataset = replace(tiny_dataset, graphs=(replace(tiny_dataset.graphs[0], cases=records),))
+    report = evaluate(dataset, ["nsigma"], k_max=5)
+    rows = [[len(r.truth.root_causes & {"r0"}) / len(r.truth.root_causes)] * 5 for r in records]
+    assert report.methods["nsigma"].per_graph["g0"] == tuple(np.mean(rows, axis=0).tolist())
+
