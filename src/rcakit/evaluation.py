@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyCaseSet
+from .errors import EmptyCaseSet, MalformedInput
 from .scoring import ABNORMAL_THRESHOLD, score_case
 from .simulation import SimulatedDataset, _pool_map, case_id, case_record
 
@@ -69,6 +68,8 @@ def _score_case(task) -> tuple:
     it is an outcome."""
     entry, graph, methods, threshold, windows = task
     record = case_record(entry)
+    if record.truth is None:
+        raise MalformedInput(f"case {record.case_id}: dataset cases must carry root_causes")
     case = replace(record.case, **windows) if windows else record.case
     roots = record.truth.root_causes
     outcomes = [(None, 0.0, f"{type(outcome).__name__}: {outcome}") if isinstance(outcome, Exception)
@@ -195,5 +196,6 @@ def format_table(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_json(), indent=2, sort_keys=True,
-                                      allow_nan=False) + "\n")
+    with open(path, "w") as fh:
+        json.dump(report.to_json(), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

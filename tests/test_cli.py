@@ -889,6 +889,19 @@ def test_evaluate_pooled_load_error_reaches_the_cli(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_evaluate_dataset_without_cases_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "ds" / "g0").mkdir(parents=True)
+    (tmp_path / "ds" / "g0" / "graph.json").write_text('{"nodes": ["a", "b"], "edges": []}')
+    (tmp_path / "ds" / "manifest.json").write_text('{"seed": 1}')
+    capsys.readouterr()
+    assert main(["evaluate", str(tmp_path / "ds"), "--jobs", "1",
+                 "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: dataset has no cases"]
+    assert not (tmp_path / "report.json").exists()
+
+
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 

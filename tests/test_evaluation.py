@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcakit import evaluation, scoring
-from rcakit.errors import EmptyCaseSet
+from rcakit.errors import EmptyCaseSet, MalformedInput
 from rcakit.evaluation import evaluate, format_table, recall_curve, save_report
 from rcakit.model import CaseRecord, GroundTruth
 from rcakit.scoring import (
@@ -409,8 +409,7 @@ def test_recall_rows_stop_at_the_deepest_found_root(tiny_dataset, monkeypatch):
             record = case_record(entry)
             outcomes = score_case(record.case, g.graph, record.truth, methods)
             for method, ((_, ranking), _) in zip(methods, outcomes):
-                ranks = [r for r, (m, _) in enumerate(ranking, 1) if m in record.truth.root_causes]
-                deepest[method] = max(deepest[method], *ranks)
+                deepest[method] = max(deepest[method], *ranks_of(ranking, record.truth))
     assert deepest["ideal"] < deepest["nsigma"] <= 10
     lengths = []
 
@@ -427,17 +426,29 @@ def test_recall_rows_stop_at_the_deepest_found_root(tiny_dataset, monkeypatch):
 
 
 def test_found_roots_all_at_rank_one_average_as_k_max_columns(tiny_dataset, monkeypatch):
-    """40 cases of one to five roots, r0 the only one ever found, at rank
+    """40 cases of one to six roots, r0 the only one ever found, at rank
     one: each AC@k is still the mean of k_max-long rows, summed row by row."""
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(0)
     case = case_record(tiny_dataset.graphs[0].cases[0]).case
-    records = tuple(CaseRecord(f"c{i:02d}", case,
-                               gt(*(f"{'rs'[rng.integers(2)]}{j}" for j in range(rng.integers(1, 6)))))
-                    for i in range(40))
+    truths = [gt(*["r0"] * int(rng.integers(2)), *(f"s{j}" for j in range(rng.integers(1, 6))))
+              for _ in range(40)]
+    records = tuple(CaseRecord(f"c{i:02d}", case, truth) for i, truth in enumerate(truths))
     monkeypatch.setattr(evaluation, "score_case", lambda case, graph, truth, methods, threshold:
                         [((None, [("r0", 1.0), ("y", 0.0)]), 0.0) for _ in methods])
     dataset = replace(tiny_dataset, graphs=(replace(tiny_dataset.graphs[0], cases=records),))
     report = evaluate(dataset, ["nsigma"], k_max=5)
-    rows = [[len(r.truth.root_causes & {"r0"}) / len(r.truth.root_causes)] * 5 for r in records]
+    rows = np.array([[len(t.root_causes & {"r0"}) / len(t.root_causes)] * 5 for t in truths])
+    assert np.mean(rows[:, :1], axis=0)[0] != np.mean(rows, axis=0)[0]  # summed pairwise
     assert report.methods["nsigma"].per_graph["g0"] == tuple(np.mean(rows, axis=0).tolist())
 
+
+def test_case_without_truth_is_malformed_before_scoring(tiny_dataset, monkeypatch):
+    def fail(*args):
+        raise AssertionError("scored a case")
+
+    monkeypatch.setattr(evaluation, "score_case", fail)
+    g0 = tiny_dataset.graphs[0]
+    unlabeled = replace(case_record(g0.cases[0]), truth=None)
+    dataset = replace(tiny_dataset, graphs=(replace(g0, cases=(unlabeled,)),))
+    with pytest.raises(MalformedInput, match=f"case {unlabeled.case_id}: .*root_causes"):
+        evaluate(dataset, ["nsigma"])
