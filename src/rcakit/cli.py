@@ -12,6 +12,7 @@ as the flags they name, so they are checked the same way.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -148,14 +149,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     """Parse ``argv``; with --config, parse again with the config's values as
     flags put before the user's own, so that flags beat the config and the
     config beats the parser's defaults."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.config:
         argv = list(sys.argv[1:] if argv is None else argv)
         at = argv.index(args.command) + 1
-        (subparsers,) = parser._subparsers._group_actions
+        (subparsers,) = _PARSER._subparsers._group_actions
         tokens = _config_tokens(subparsers.choices[args.command], read_json(args.config))
-        args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        args = _PARSER.parse_args(argv[:at] + tokens + argv[at:])
     return args
 
 
@@ -209,10 +209,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_evaluate(args) -> int:
     jobs = args.jobs or os.cpu_count() or 1
+    out = args.out or str(Path(args.dataset_dir) / "report.json")
+    # open()'s error before every case is scored, not after; a missing dataset
+    # directory, the default's parent, is load_dataset's to name
+    if Path(out).is_dir() or (args.out and not Path(out).parent.is_dir()):
+        code = errno.EISDIR if Path(out).is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
     dataset = simulation.load_dataset(args.dataset_dir)
     report = evaluation.evaluate(dataset, args.scorers, k_max=args.k, threshold=args.threshold,
                                  jobs=jobs, windows=_window_overrides(args))
-    out = args.out or str(Path(args.dataset_dir) / "report.json")
     evaluation.save_report(report, out)
     print(evaluation.format_table(report))
     for name, res in report.methods.items():
@@ -221,6 +226,10 @@ def cmd_evaluate(args) -> int:
                   file=sys.stderr)
     print(f"wrote {out}")
     return 0
+
+
+#: Built at import; argparse never changes a parser while it parses one argv.
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:

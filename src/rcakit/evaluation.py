@@ -8,8 +8,9 @@ standard deviation across graphs.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -55,8 +56,13 @@ class EvalReport:
     params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """The report.json payload; tuples stand for JSON lists."""
-        return asdict(self)
+        """The report.json payload; tuples stand for JSON lists.  Dicts and
+        lists are copies, so editing the payload leaves the report alone."""
+        methods = {}
+        for name, res in self.methods.items():
+            by_type = {ft: dict(e, ac=list(e["ac"])) for ft, e in res.by_fault_type.items()}
+            methods[name] = dict(vars(res), per_graph=dict(res.per_graph), by_fault_type=by_type)
+        return dict(vars(self), methods=methods, params=copy.deepcopy(self.params))
 
 
 def _score_case(task) -> tuple:
@@ -148,13 +154,8 @@ def evaluate(
             avg_at_k=float(ac_mean.mean()),
             mean_time_s=float(np.mean(times)),
             per_graph=graph_ac,
-            by_fault_type={
-                ft: {
-                    "n": len(rows),
-                    "ac": [float(v) for v in np.mean(rows, axis=0)[extend]],
-                }
-                for ft, rows in sorted(per_type.items())
-            },
+            by_fault_type={ft: {"n": len(rows), "ac": [float(v) for v in np.mean(rows, 0)[extend]]}
+                           for ft, rows in sorted(per_type.items())},
             n_cases=len(times),
             failures=tuple(failures),
             note=METHOD_NOTES.get(method),

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -900,6 +901,92 @@ def test_evaluate_dataset_without_cases_is_one_error_line(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.splitlines() == ["error: dataset has no cases"]
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("target, line", [
+    ("missing/report.json", "error: [Errno 2] No such file or directory: '{}'"),
+    ("existing", "error: [Errno 21] Is a directory: '{}'"),
+    (None, "error: [Errno 21] Is a directory: '{}'"),
+], ids=["missing-parent", "directory", "default-is-a-directory"])
+def test_evaluate_checks_out_before_scoring(dataset_dir, tmp_path, capsys, monkeypatch,
+                                            target, line):
+    from rcakit import evaluation
+
+    calls = []
+    score_case = evaluation.score_case
+    monkeypatch.setattr(evaluation, "score_case",
+                        lambda *a, **k: calls.append(1) or score_case(*a, **k))
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    (tmp_path / "existing").mkdir()
+    (data / "report.json").mkdir()  # the default target, blocked
+    out = str(data / "report.json") if target is None else str(tmp_path / target)
+    flags = [] if target is None else ["--out", out]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["evaluate", str(data), "--jobs", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line.format(out)] and captured.out == ""
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before
+    # control: the spy sees every case scored once a target can be written
+    assert main(["evaluate", str(data), "--jobs", "1",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 8
+
+
+def test_commands_build_no_parser_after_import(dataset_dir, tmp_path, capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    (tmp_path / "arch.yaml").write_text(WEB_DB_YAML)
+    (tmp_path / "config.json").write_text('{"scorer": "nsigma"}')
+    case_dir = str(dataset_dir / "g0" / "c0")
+    graph = ["--graph", str(dataset_dir / "g0" / "graph.json")]
+    for argv in (
+        ["simulate", "--nodes", "10", "--edges", "20", "--graphs", "1", "--cases", "2",
+         "--seed", "5", "--jobs", "1", "--out", str(tmp_path / "ds")],
+        ["graph", str(tmp_path / "arch.yaml"), "--out", str(tmp_path / "graph.json")],
+        ["analyze", case_dir, *graph, "--out", str(tmp_path / "a.json")],
+        ["analyze", case_dir, "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "b.json")],
+        ["evaluate", str(dataset_dir), "--jobs", "1", "--out", str(tmp_path / "report.json")],
+    ):
+        assert main(argv) == 0, capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["analyze", case_dir, "--top", "0"])
+    assert built == []
+
+
+def test_one_parser_carries_nothing_from_call_to_call(dataset_dir, tmp_path, capsys, monkeypatch):
+    """A usage error, a --config call and the same call without --config, in
+    one process, each print and exit as in a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal's width
+    (tmp_path / "config.json").write_text('{"scorer": "nsigma", "top": 2, "threshold": 2.5}')
+    case = ["analyze", str(dataset_dir / "g0" / "c2"), "--graph",
+            str(dataset_dir / "g0" / "graph.json"), "--out", str(tmp_path / "scores.json")]
+    calls = [case + ["--top", "0"], case + ["--config", str(tmp_path / "config.json")], case]
+    env = dict(os.environ, COLUMNS="80")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    capsys.readouterr()
+    seen = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+        fresh = subprocess.run([sys.executable, "-m", "rcakit.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert seen[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, *_ in seen] == [2, 0, 0]
+    assert seen[0][2].endswith("error: argument --top: must be at least 1, got 0\n")
+    assert seen[1][1].startswith("nsigma ranking") and "(top 2)" in seen[1][1]
+    assert seen[2][1].startswith("circa ranking") and "(top 10)" in seen[2][1]
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import combinations
 
 import numpy as np
@@ -228,6 +228,26 @@ def test_report_json_and_save(tiny_dataset, tmp_path):
         "n_cases", "failures", "note"}
     assert (tmp_path / "report.json").read_text() == json.dumps(payload, indent=2,
                                                                 sort_keys=True) + "\n"
+
+
+def test_payload_is_asdict_and_a_copy(tiny_dataset):
+    """``to_json`` equals ``dataclasses.asdict``, and editing what it returns
+    leaves the report, and the next payload, as they were."""
+    report = evaluate(tiny_dataset, ["ideal", "nsigma"], k_max=4)
+    report = replace(report, params=dict(report.params, nested={"list": [1, 2]}))
+    payload = report.to_json()
+    assert payload == asdict(report)
+    pinned = json.dumps(payload, sort_keys=True)
+    for res in payload["methods"].values():
+        for entry in res["by_fault_type"].values():
+            entry["n"] = -1
+            entry["ac"][0] = -1.0
+        for key in ("per_graph", "by_fault_type"):
+            res[key]["added"] = None
+        res["ac_mean"] = ()
+    payload["params"]["nested"]["list"].append(3)
+    payload["methods"].clear()
+    assert json.dumps(report.to_json(), sort_keys=True) == pinned
 
 
 def test_evaluate_refuses_k_below_one_before_scoring(tiny_dataset, monkeypatch):
